@@ -21,6 +21,7 @@ from .iterround import SolveReport, bicriteria_factors, solve_kmeddis, solve_mat
 from .knapsack import (
     knapsack_alpha,
     knapsack_est_coefficient,
+    solve,
     solve_knapmeddis,
 )
 from .oracle import brute_opt, brute_stochastic_opt, check_bicriteria
@@ -58,6 +59,7 @@ __all__ = [
     "knapsack_est_coefficient",
     "normalize",
     "realization_probs",
+    "solve",
     "solve_kmeddis",
     "solve_knapmeddis",
     "solve_matmeddis",

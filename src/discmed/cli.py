@@ -12,19 +12,17 @@ import sys
 
 from . import __version__
 from .instance import (
-    Cardinality,
     Instance,
     InstanceError,
-    Knapsack,
-    Matroid,
     dump,
     from_json,
     generate,
     normalize,
+    to_json,
     validate,
 )
-from .iterround import IntegralityError, RoundingError, solve_kmeddis, solve_matmeddis
-from .knapsack import SparsifyGuard, solve_knapmeddis, theoretical_caps
+from .iterround import IntegralityError, RoundingError
+from .knapsack import SparsifyGuard, solve
 from .oracle import GuardExceeded, check_bicriteria
 from .stochastic import (
     EXACT_OUTCOME_GUARD,
@@ -33,8 +31,6 @@ from .stochastic import (
     solve_stochastic_center,
     stochastic_from_json,
 )
-
-DEFAULT_TAU = {"cardinality": 1.91, "matroid": 2.36, "knapsack": 1.9}
 
 
 def _load_json(path: str) -> dict:
@@ -56,7 +52,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def _emit(blob: dict, out: str | None) -> None:
-    text = json.dumps(blob, indent=1, sort_keys=True)
+    text = json.dumps(blob, indent=1, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -64,44 +60,25 @@ def _emit(blob: dict, out: str | None) -> None:
         print(text)
 
 
+def _family_options(args, names) -> dict:
+    """Family-only flags the user set, keyed by solver parameter name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    con = inst.constraint
-    if isinstance(con, Cardinality):
-        tau = args.tau if args.tau is not None else DEFAULT_TAU["cardinality"]
-        rep = solve_kmeddis(inst, tau=tau, h=args.step or 2)
-    elif isinstance(con, Matroid):
-        tau = args.tau if args.tau is not None else DEFAULT_TAU["matroid"]
-        rep = solve_matmeddis(inst, tau=tau)
-    elif isinstance(con, Knapsack):
-        tau = args.tau if args.tau is not None else DEFAULT_TAU["knapsack"]
-        caps = None
-        if args.cap1 is not None or args.cap2 is not None:
-            theo = theoretical_caps(args.rho, args.delta)
-            caps = (
-                args.cap1 if args.cap1 is not None else theo[0],
-                args.cap2 if args.cap2 is not None else theo[1],
-            )
-        rep = solve_knapmeddis(
-            inst,
-            tau=tau,
-            rho=args.rho,
-            delta=args.delta,
-            epsilon=args.epsilon,
-            caps=caps,
-            max_candidates=args.max_candidates,
-            jobs=args.jobs,
-        )
-    else:
-        raise InstanceError("unsupported constraint family")
+    opts = _family_options(args, ("h", "rho", "delta", "epsilon", "max_candidates", "jobs"))
+    if args.cap1 is not None or args.cap2 is not None:
+        opts["caps"] = (args.cap1, args.cap2)
+    rep = solve(inst, args.tau, **opts)
 
     blob = rep.to_json()
     blob["version"] = __version__
     blob["config"] = {
         "command": "solve",
         "instance": args.instance,
-        "tau": tau,
-        "step": args.step,
+        "tau": rep.tau,
+        "step": args.h,
         "rho": args.rho,
         "delta": args.delta,
         "epsilon": args.epsilon,
@@ -137,8 +114,6 @@ def _cmd_gen(args) -> int:
     if args.out:
         dump(inst, args.out)
     else:
-        from .instance import to_json
-
         print(json.dumps(to_json(inst), indent=1, sort_keys=True))
     return 0
 
@@ -159,24 +134,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stochastic(args) -> int:
     stoch = stochastic_from_json(_load_json(args.instance))
-    con = stoch.base.constraint
-    if isinstance(con, Knapsack):
-        tau = args.tau if args.tau is not None else DEFAULT_TAU["knapsack"]
-    elif isinstance(con, Matroid):
-        tau = args.tau if args.tau is not None else DEFAULT_TAU["matroid"]
-    else:
-        tau = args.tau if args.tau is not None else DEFAULT_TAU["cardinality"]
-    knap_options = None
-    if isinstance(con, Knapsack):
-        knap_options = {
-            "rho": args.rho,
-            "delta": args.delta,
-            "epsilon": 0.25,
-            "max_candidates": args.max_candidates,
-            "jobs": args.jobs,
-        }
     solution, rep = solve_stochastic_center(
-        stoch, tau=tau, epsilon=args.epsilon, knap_options=knap_options
+        stoch,
+        tau=args.tau,
+        epsilon=args.epsilon,
+        knap_options=_family_options(args, ("rho", "delta", "max_candidates", "jobs")),
     )
     blob = rep.to_json()
     blob["solution"] = list(solution)
@@ -184,7 +146,7 @@ def _cmd_stochastic(args) -> int:
     blob["config"] = {
         "command": "stochastic",
         "instance": args.instance,
-        "tau": tau,
+        "tau": rep.tau,
         "epsilon": args.epsilon,
         "seed": args.seed,
     }
@@ -219,14 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="solve one instance and emit a certified report")
     solve_p.add_argument("instance")
     solve_p.add_argument("--tau", type=float, default=None)
-    solve_p.add_argument("--step", type=int, choices=(1, 2), default=None)
-    solve_p.add_argument("--rho", type=float, default=1.0 / 3.0)
-    solve_p.add_argument("--delta", type=float, default=2.0 / 3.0)
-    solve_p.add_argument("--epsilon", type=float, default=0.1)
+    # family-only flags default to None: only the ones given reach the solver
+    solve_p.add_argument("--step", dest="h", type=int, choices=(1, 2), default=None)
+    solve_p.add_argument("--rho", type=float, default=None)
+    solve_p.add_argument("--delta", type=float, default=None)
+    solve_p.add_argument("--epsilon", type=float, default=None)
     solve_p.add_argument("--cap1", type=int, default=None)
     solve_p.add_argument("--cap2", type=int, default=None)
-    solve_p.add_argument("--max-candidates", type=int, default=200_000)
-    solve_p.add_argument("--jobs", type=int, default=1)
+    solve_p.add_argument("--max-candidates", type=int, default=None)
+    solve_p.add_argument("--jobs", type=int, default=None)
     solve_p.add_argument("--seed", type=int, default=0)
     solve_p.add_argument("--out", default=None)
     solve_p.add_argument("--oracle", action="store_true")
@@ -255,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     sto_p.add_argument("instance")
     sto_p.add_argument("--tau", type=float, default=None)
     sto_p.add_argument("--epsilon", type=float, default=0.1)
-    sto_p.add_argument("--rho", type=float, default=1.0 / 3.0)
-    sto_p.add_argument("--delta", type=float, default=2.0 / 3.0)
-    sto_p.add_argument("--max-candidates", type=int, default=200_000)
-    sto_p.add_argument("--jobs", type=int, default=1)
+    sto_p.add_argument("--rho", type=float, default=None)
+    sto_p.add_argument("--delta", type=float, default=None)
+    sto_p.add_argument("--max-candidates", type=int, default=None)
+    sto_p.add_argument("--jobs", type=int, default=None)
     sto_p.add_argument("--seed", type=int, default=0)
     sto_p.add_argument("--out", default=None)
     sto_p.set_defaults(func=_cmd_stochastic)

@@ -65,10 +65,6 @@ class DiscretizedMetric:
         return vals
 
 
-def discretize(tau: float, b: float) -> DiscretizedMetric:
-    return DiscretizedMetric(tau=tau, b=b)
-
-
 def discretization_ratio(tau: float) -> float:
     """Expected rounding inflation (tau - 1) / ln(tau) under a uniform offset."""
     return (tau - 1.0) / math.log(tau)

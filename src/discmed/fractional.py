@@ -88,6 +88,25 @@ def matroid_polytope_rows(spec, fac_ids, copies_of) -> list[tuple[dict, str, flo
     raise InstanceError(f"unknown matroid spec {type(spec).__name__}")
 
 
+def family_rows(inst: Instance, orig) -> list[tuple[dict, str, float]]:
+    """Rows of the constraint family over opening variables 0..len(orig)-1.
+
+    ``orig[v]`` is the facility id of opening variable ``v``; co-located
+    copies of one facility share its id and its knapsack weight.
+    """
+    con = inst.constraint
+    if isinstance(con, Cardinality):
+        return [({v: 1.0 for v in range(len(orig))}, "<=", float(con.k))]
+    if isinstance(con, Matroid):
+        copies_of: dict[str, list[int]] = {f: [] for f in inst.facilities}
+        for v, f in enumerate(orig):
+            copies_of[f].append(v)
+        return matroid_polytope_rows(con.spec, inst.facilities, copies_of)
+    if isinstance(con, Knapsack):
+        return [({v: inst.weight_of(f) for v, f in enumerate(orig)}, "<=", float(con.budget))]
+    raise InstanceError(f"unknown constraint family {type(con).__name__}")
+
+
 def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
     """LP-k / matroid / knapsack relaxation; with ``extended`` the knapsack
     pre-selection, distance-cap, contribution-cap and star-cap rows are added
@@ -100,7 +119,7 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
         cols = sorted(inst.cli_pos[j] for j in extended.cprime)
         f0_pos = {inst.fac_pos[f] for f in extended.f0}
 
-    contrib = np.maximum(inst.dist_fc - inst.r[None, :], 0.0) * inst.w[None, :]
+    contrib = inst.contrib
 
     eliminated: set[tuple[int, int]] = set()
     if extended is not None:
@@ -136,21 +155,8 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
     for cj in cols:
         coeffs = {x_index[(fi, cj)]: 1.0 for fi in range(nf) if (fi, cj) in x_index}
         lp.add_row(coeffs, "=", 1.0)
-    con = inst.constraint
-    if isinstance(con, Cardinality):
-        lp.add_row({y_index[fi]: 1.0 for fi in range(nf)}, "<=", float(con.k))
-    elif isinstance(con, Matroid):
-        copies_of = {f: [y_index[inst.fac_pos[f]]] for f in inst.facilities}
-        for coeffs, rel, rhs in matroid_polytope_rows(con.spec, inst.facilities, copies_of):
-            lp.add_row(coeffs, rel, rhs)
-    elif isinstance(con, Knapsack):
-        lp.add_row(
-            {y_index[fi]: float(con.weights[inst.facilities[fi]]) for fi in range(nf)},
-            "<=",
-            float(con.budget),
-        )
-    else:
-        raise InstanceError(f"unknown constraint family {type(con).__name__}")
+    for coeffs, rel, rhs in family_rows(inst, inst.facilities):  # y_index[fi] == fi
+        lp.add_row(coeffs, rel, rhs)
     for (fi, cj), v in x_index.items():
         lp.add_row({v: 1.0, y_index[fi]: -1.0}, "<=", 0.0)
     if extended is not None:
@@ -211,8 +217,7 @@ def make_distance_optimal(sol: FractionalSolution, inst: Instance) -> Fractional
             remaining -= take
         if remaining > 1e-7:
             raise InstanceError("water-filling ran out of opening mass")
-    contrib = np.maximum(inst.dist_fc - inst.r[None, :], 0.0) * inst.w[None, :]
-    return FractionalSolution(x=x, y=sol.y.copy(), objective_value=float((contrib * x).sum()))
+    return FractionalSolution(x=x, y=sol.y.copy(), objective_value=float((inst.contrib * x).sum()))
 
 
 @dataclass
@@ -318,7 +323,7 @@ def duplicate_star_balanced(sol: FractionalSolution, inst: Instance, extended) -
     nf, nc = sol.x.shape
     cprime_cols = sorted(inst.cli_pos[j] for j in extended.cprime)
     x = _normalized_columns(sol.x, [cj for cj in cprime_cols if sol.x[:, cj].sum() > SUPPORT_TOL])
-    contrib = np.maximum(inst.dist_fc - inst.r[None, :], 0.0) * inst.w[None, :]
+    contrib = inst.contrib
 
     orig: list[str] = []
     y: list[float] = []
@@ -397,9 +402,14 @@ def duplicate_star_balanced(sol: FractionalSolution, inst: Instance, extended) -
     return bs
 
 
+def _copy_contrib(bs: BallSystem, inst: Instance) -> np.ndarray:
+    """Rows of ``inst.contrib`` for every copy (copies inherit distances)."""
+    return inst.contrib[[inst.fac_pos[f] for f in bs.orig], :]
+
+
 def star_costs(bs: BallSystem, inst: Instance) -> np.ndarray:
     """Recompute per-copy star costs from the final outer balls."""
-    contrib = np.maximum(bs.dist - inst.r[None, :], 0.0) * inst.w[None, :]
+    contrib = _copy_contrib(bs, inst)
     out = np.zeros(bs.n_copies)
     for cj, ball in enumerate(bs.F):
         for c in ball:
@@ -420,7 +430,7 @@ def _audit_star_balance(bs: BallSystem, inst: Instance, extended, lp_objective: 
         mass = float(sum(bs.y[c] for c in bs.copies_of(f)))
         if abs(mass - 1.0) > 1e-7:
             raise InstanceError(f"pre-selected facility {f} has copy mass {mass}")
-    contrib = np.maximum(bs.dist - inst.r[None, :], 0.0) * inst.w[None, :]
+    contrib = _copy_contrib(bs, inst)
     obj = 0.0
     for j in extended.cprime:
         cj = inst.cli_pos[j]

@@ -9,6 +9,7 @@ constraint families: a cardinality bound, a matroid, or a knapsack budget.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
@@ -317,6 +318,11 @@ class Instance:
         return np.array([self.client_weights[j] for j in self.clients], dtype=float)
 
     @cached_property
+    def contrib(self) -> np.ndarray:
+        """(n_facilities, n_clients) weighted discounted distances w_j * (d_ij - r_j)^+."""
+        return np.maximum(self.dist_fc - self.r[None, :], 0.0) * self.w[None, :]
+
+    @cached_property
     def fac_pos(self) -> dict[str, int]:
         return {f: k for k, f in enumerate(self.facilities)}
 
@@ -347,14 +353,13 @@ def validate(inst: Instance) -> list[str]:
     if len(set(inst.clients)) != len(inst.clients):
         out.append("duplicate client ids")
     for j in inst.clients:
-        if j not in inst.discounts:
-            out.append(f"missing discount for client {j}")
-        elif inst.discounts[j] < 0:
-            out.append(f"negative discount for client {j}")
-        if j not in inst.client_weights:
-            out.append(f"missing weight for client {j}")
-        elif inst.client_weights[j] < 0:
-            out.append(f"negative weight for client {j}")
+        for what, values in (("discount", inst.discounts), ("weight", inst.client_weights)):
+            if j not in values:
+                out.append(f"missing {what} for client {j}")
+            elif not math.isfinite(values[j]):
+                out.append(f"non-finite {what} {values[j]} for client {j}")
+            elif values[j] < 0:
+                out.append(f"negative {what} for client {j}")
     con = inst.constraint
     if isinstance(con, Cardinality):
         if not 1 <= con.k <= len(inst.facilities):
@@ -363,10 +368,15 @@ def validate(inst: Instance) -> list[str]:
         out.extend(con.spec.violations(inst.facilities))
     elif isinstance(con, Knapsack):
         missing = set(inst.facilities) - set(con.weights)
+        bad = [f for f in inst.facilities if f in con.weights and not math.isfinite(con.weights[f])]
         if missing:
             out.append(f"knapsack weights missing for {sorted(missing)}")
+        elif bad:
+            out.append(f"non-finite knapsack weight for facilities {bad}")
         elif any(con.weights[f] < 0 for f in inst.facilities):
             out.append("negative knapsack weight")
+        elif not math.isfinite(con.budget):
+            out.append(f"non-finite knapsack budget {con.budget}")
         elif not any(con.weights[f] <= con.budget for f in inst.facilities):
             out.append("knapsack admits no nonempty feasible set")
     else:

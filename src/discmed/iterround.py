@@ -11,6 +11,7 @@ coordinates for the caller to resolve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -20,15 +21,14 @@ from .discretize import DiscretizedMetric, choose_offset, discretization_ratio
 from .fractional import (
     BallSystem,
     duplicate_facilities,
+    family_rows,
     make_distance_optimal,
-    matroid_polytope_rows,
     solve_natural,
 )
 from .instance import (
     Cardinality,
     Instance,
     InstanceError,
-    Knapsack,
     Matroid,
     discounted_cost,
     normalize,
@@ -55,7 +55,6 @@ class VirtualClient:
     """Zero-discount level(-1) client pinning unit mass on one facility's copies."""
 
     vid: str
-    anchor: str
     copies: frozenset[int]
 
 
@@ -66,9 +65,10 @@ class RoundState:
     tau: float
     h: int
     cols: list[int]  # participating real client columns
+    col: dict[str, int]  # real client id -> column
     weights: np.ndarray
     discounts: np.ndarray
-    chat: np.ndarray  # rounded copy-client distances
+    gain: np.ndarray  # rounded contributions w_j * (chat - tau * r_j)^+ per copy and client
     levels_mat: np.ndarray
     F: dict[str, set[int]]
     B: dict[str, set[int]]
@@ -81,9 +81,6 @@ class RoundState:
     objectives: list[float] = field(default_factory=list)
     max_contribution_drift: float = 0.0
     cstar_violations: int = 0
-
-    def col_of(self, key: str) -> int:
-        return self.bs.clients.index(key)
 
     def dump(self) -> str:
         lines = [
@@ -135,36 +132,28 @@ def _check_cstar(state: RoundState) -> None:
                 state.cstar_violations += 1
 
 
-def _family_rows(inst: Instance, bs: BallSystem) -> list[tuple[dict, str, float]]:
-    con = inst.constraint
-    if isinstance(con, Cardinality):
-        return [({c: 1.0 for c in range(bs.n_copies)}, "<=", float(con.k))]
-    if isinstance(con, Matroid):
-        copies_of = {f: [] for f in inst.facilities}
-        for c, f in enumerate(bs.orig):
-            copies_of[f].append(c)
-        return matroid_polytope_rows(con.spec, inst.facilities, copies_of)
-    if isinstance(con, Knapsack):
-        return [({c: float(bs.weight[c]) for c in range(bs.n_copies)}, "<=", float(con.budget))]
-    raise InstanceError(f"unknown constraint family {type(con).__name__}")
+def _level_head(state: RoundState, key: str) -> float:
+    """w_j * (D_level - tau * r_j)^+: the contribution of a client at its level value."""
+    cj = state.col[key]
+    return state.weights[cj] * max(
+        state.dm.level_value(state.level[key]) - state.tau * state.discounts[cj], 0.0
+    )
 
 
-def _aux_lp(state: RoundState, family_rows) -> tuple[LinearProgram, float]:
+def _aux_lp(state: RoundState, rows) -> tuple[LinearProgram, float]:
     bs = state.bs
     coeff = np.zeros(bs.n_copies)
     const = 0.0
     for key in state.C0:
-        cj = state.col_of(key)
-        wj, rj = state.weights[cj], state.discounts[cj]
+        cj = state.col[key]
         for c in state.F[key]:
-            coeff[c] += wj * max(state.chat[c, cj] - state.tau * rj, 0.0)
+            coeff[c] += state.gain[c, cj]
     for key in state.C1:
-        cj = state.col_of(key)
-        wj, rj = state.weights[cj], state.discounts[cj]
-        head = wj * max(state.dm.level_value(state.level[key]) - state.tau * rj, 0.0)
+        cj = state.col[key]
+        head = _level_head(state, key)
         const += head
         for c in state.B[key]:
-            coeff[c] += wj * max(state.chat[c, cj] - state.tau * rj, 0.0) - head
+            coeff[c] += state.gain[c, cj] - head
     lp = LinearProgram(bs.n_copies, objective=coeff)
     for key in sorted(state.C0):
         lp.add_row({c: 1.0 for c in state.F[key]}, "=", 1.0)
@@ -173,28 +162,23 @@ def _aux_lp(state: RoundState, family_rows) -> tuple[LinearProgram, float]:
             lp.add_row({c: 1.0 for c in state.B[key]}, "<=", 1.0)
     for key in sorted(state.Cstar):
         lp.add_row({c: 1.0 for c in state.F[key]}, "=", 1.0)
-    for coeffs, rel, rhs in family_rows:
+    for coeffs, rel, rhs in rows:
         lp.add_row(coeffs, rel, rhs)
     return lp, const
 
 
 def _contribution(state: RoundState, key: str, y: np.ndarray) -> float:
-    cj = state.col_of(key)
-    wj, rj = state.weights[cj], state.discounts[cj]
+    gain = state.gain[:, state.col[key]]
     if key in state.C0:
-        return float(
-            sum(y[c] * wj * max(state.chat[c, cj] - state.tau * rj, 0.0) for c in state.F[key])
-        )
-    head = wj * max(state.dm.level_value(state.level[key]) - state.tau * rj, 0.0)
+        return float(sum(y[c] * gain[c] for c in state.F[key]))
     ball = float(sum(y[c] for c in state.B[key]))
     return float(
-        sum(y[c] * wj * max(state.chat[c, cj] - state.tau * rj, 0.0) for c in state.B[key])
-        + (1.0 - ball) * head
+        sum(y[c] * gain[c] for c in state.B[key]) + (1.0 - ball) * _level_head(state, key)
     )
 
 
 def _inner_ball(state: RoundState, key: str) -> set[int]:
-    cj = state.col_of(key)
+    cj = state.col[key]
     cap = state.level[key] - 1
     return {c for c in state.F[key] if state.levels_mat[c, cj] <= cap}
 
@@ -224,9 +208,10 @@ def iter_round(
         tau=dm.tau,
         h=h,
         cols=list(cols),
+        col={key: cj for cj, key in enumerate(bs.clients)},
         weights=inst.w,
         discounts=inst.r,
-        chat=chat,
+        gain=inst.w[None, :] * np.maximum(chat - dm.tau * inst.r[None, :], 0.0),
         levels_mat=levels_mat,
         F={},
         B={},
@@ -251,12 +236,12 @@ def iter_round(
         if not update_cstar(state, v.vid):
             raise RoundingError(f"virtual client {v.vid} blocked from the core set")
 
-    family_rows = _family_rows(inst, bs)
+    rows = family_rows(inst, bs.orig)
     max_level = max((state.level[k] for k in state.level), default=0)
     budget = len(cols) * (max_level + 3) + len(cols) + 4
     y = np.zeros(bs.n_copies)
     for _ in range(budget):
-        lp, const = _aux_lp(state, family_rows)
+        lp, const = _aux_lp(state, rows)
         res = solve(lp)
         y = res.values
         aux = res.objective_value + const
@@ -343,7 +328,7 @@ class Certificate:
 @dataclass
 class SolveReport:
     tau: float
-    b: float
+    b: float | None  # None where no single offset applies (knapsack)
     h: int
     solution: tuple[str, ...]
     objective: float  # discounted cost of the solution at multiplier alpha
@@ -353,7 +338,7 @@ class SolveReport:
     final_levels: dict[str, int]
     certificates: list[Certificate]
     lp_optimum: float
-    initial_aux: float
+    initial_aux: float | None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -422,12 +407,7 @@ def _pipeline(inst: Instance, tau: float, h: int) -> SolveReport:
         )
     )
     final_levels = {key: state.level[key] for key in map(inst.clients.__getitem__, cols)}
-    level_obj = float(
-        sum(
-            inst.w[cj] * max(dm.level_value(state.level[inst.clients[cj]]) - tau * inst.r[cj], 0.0)
-            for cj in cols
-        )
-    )
+    level_obj = float(sum(_level_head(state, inst.clients[cj]) for cj in cols))
     certs.append(Certificate.leq("final_level_objective_le_initial_aux", level_obj, initial_aux))
     worst_step = max(
         (b2 - a2 for a2, b2 in zip(state.objectives, state.objectives[1:])), default=0.0
@@ -481,8 +461,8 @@ def solve_kmeddis(inst: Instance, tau: float = 1.91, h: int = 2) -> SolveReport:
     """Cardinality-constrained pipeline (step size 2 by default)."""
     if not isinstance(inst.constraint, Cardinality):
         raise InstanceError("solve_kmeddis needs a cardinality constraint")
-    if not tau > 1.0:
-        raise InstanceError("tau must exceed 1")
+    if not 1.0 < tau < math.inf:
+        raise InstanceError("tau must be finite and exceed 1")
     return _pipeline(inst, tau, h)
 
 
@@ -490,6 +470,6 @@ def solve_matmeddis(inst: Instance, tau: float = 2.36) -> SolveReport:
     """Matroid-constrained pipeline (step size 1)."""
     if not isinstance(inst.constraint, Matroid):
         raise InstanceError("solve_matmeddis needs a matroid constraint")
-    if not tau > 1.0:
-        raise InstanceError("tau must exceed 1")
+    if not 1.0 < tau < math.inf:
+        raise InstanceError("tau must be finite and exceed 1")
     return _pipeline(inst, tau, 1)

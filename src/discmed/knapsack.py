@@ -11,6 +11,7 @@ most two fractional coordinates a vertex can carry.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -19,8 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import DiscretizedMetric, choose_offset
-from .fractional import duplicate_star_balanced, solve_natural, star_costs
-from .instance import Instance, InstanceError, Knapsack, discounted_cost, normalize, validate
+from .fractional import BallSystem, duplicate_star_balanced, solve_natural, star_costs
+from .instance import (
+    Cardinality,
+    Instance,
+    InstanceError,
+    Knapsack,
+    Matroid,
+    discounted_cost,
+    normalize,
+    validate,
+)
 from .iterround import (
     Certificate,
     RoundingError,
@@ -29,6 +39,8 @@ from .iterround import (
     fractional_copies,
     iter_round,
     offset_support,
+    solve_kmeddis,
+    solve_matmeddis,
 )
 from .lpcore import InfeasibleLP
 
@@ -63,9 +75,6 @@ class ExtendedInstance:
             self._rj[client] = compute_Rj(self, client)
         return self._rj[client]
 
-    def key(self) -> tuple:
-        return (self.f0, self.cprime, self.est)
-
 
 def knapsack_sigma(tau: float) -> float:
     return tau * (3.0 * tau - 1.0) / (tau - 1.0)
@@ -97,8 +106,7 @@ def enumerate_estimates(inst: Instance, epsilon: float) -> list[tuple[float, flo
     """All (c0, EST) pairs: per-pair contributions crossed with a (1+eps) grid."""
     if epsilon <= 0:
         raise InstanceError("epsilon must be positive")
-    contrib = np.maximum(inst.dist_fc - inst.r[None, :], 0.0) * inst.w[None, :]
-    values = sorted({float(v) for v in contrib.ravel() if v > 0})
+    values = sorted({float(v) for v in inst.contrib.ravel() if v > 0})
     pairs: list[tuple[float, float]] = [(0.0, 0.0)]
     n = max(1, len(inst.clients))
     steps = math.ceil(math.log(n) / math.log(1.0 + epsilon)) if n > 1 else 0
@@ -304,8 +312,6 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
     if ext.cprime:
         bs = duplicate_star_balanced(frac_sol, inst, ext)
     else:
-        from .fractional import BallSystem
-
         bs = BallSystem(
             orig=list(inst.facilities),
             y=np.array([1.0 if f in ext.f0 else 0.0 for f in inst.facilities]),
@@ -319,7 +325,7 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
     b, initial_aux = choose_offset(c_arr, r_arr, m_arr, tau)
     dm = DiscretizedMetric(tau, b)
     virtuals = [
-        VirtualClient(vid=f"~{f}", anchor=f, copies=frozenset(bs.copies_of(f))) for f in ext.f0
+        VirtualClient(vid=f"~{f}", copies=frozenset(bs.copies_of(f))) for f in ext.f0
     ]
     y_raw, state = iter_round(bs, inst, dm, h=1, cols=cols, virtuals=virtuals)
     y_star, t, closed = _resolve_fractional(y_raw, bs, state)
@@ -440,10 +446,7 @@ def _saturation_threshold(inst: Instance, cprime: tuple[str, ...], delta: float)
     if not cprime:
         return 0.0
     cols = [inst.cli_pos[j] for j in cprime]
-    contrib = (
-        np.maximum(inst.dist_fc[:, cols] - inst.r[cols][None, :], 0.0)
-        * inst.w[cols][None, :]
-    )
+    contrib = inst.contrib[:, cols]
     thr = max(float(contrib.max(initial=0.0)), float(contrib.sum(axis=1).max(initial=0.0)))
     kinks = inst.r[cols] / (1.0 - delta)
     weights = inst.w[cols]
@@ -455,21 +458,13 @@ def _saturation_threshold(inst: Instance, cprime: tuple[str, ...], delta: float)
     return thr
 
 
-def _evaluate_pack(args):
-    ext, tau = args
-    try:
-        return solve_extended(ext, tau)
-    except RoundingError:
-        raise
-
-
 def solve_knapmeddis(
     inst: Instance,
     tau: float = 1.9,
     rho: float = 1.0 / 3.0,
     delta: float = 2.0 / 3.0,
     epsilon: float = 0.1,
-    caps: tuple[int, int] | None = None,
+    caps: tuple[int | None, int | None] | None = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     jobs: int = 1,
 ) -> SolveReport:
@@ -477,10 +472,13 @@ def solve_knapmeddis(
 
     Candidates are the product of the estimate grid and the (F0, C')
     enumeration; estimate pairs provably above a feasible solution's cost are
-    skipped, which cannot exclude the certified witness pair.
+    skipped, which cannot exclude the certified witness pair. A missing entry
+    of ``caps`` takes its theoretical value.
     """
     if not isinstance(inst.constraint, Knapsack):
         raise InstanceError("solve_knapmeddis needs a knapsack constraint")
+    if not 1.0 < tau < math.inf:
+        raise InstanceError("tau must be finite and exceed 1")
     if not (0.0 < rho < 1.0 and 0.0 < delta < 1.0):
         raise InstanceError("rho and delta must lie in (0, 1)")
     original = inst
@@ -496,7 +494,10 @@ def solve_knapmeddis(
         for c0, est in pairs
         if c0 <= ub + 1e-9 and est <= (1.0 + epsilon) * ub + 1e-9
     ]
-    structures = sparsify_structures(inst, rho, delta, caps, max_candidates)
+    theo1, theo2 = theoretical_caps(rho, delta)
+    cap1, cap2 = caps or (None, None)
+    cap1, cap2 = theo1 if cap1 is None else cap1, theo2 if cap2 is None else cap2
+    structures = sparsify_structures(inst, rho, delta, (cap1, cap2), max_candidates)
 
     # group tasks: above the saturation threshold the LP is EST-independent,
     # so one representative solve covers every saturated estimate
@@ -525,11 +526,9 @@ def solve_knapmeddis(
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_evaluate_pack, [(e, tau) for e in tasks], chunksize=16)
-            )
+            results = list(pool.map(solve_extended, tasks, itertools.repeat(tau), chunksize=16))
     else:
-        results = [_evaluate_pack((e, tau)) for e in tasks]
+        results = [solve_extended(e, tau) for e in tasks]
 
     coef = knapsack_est_coefficient(tau, rho, delta)
     candidates = []
@@ -555,8 +554,6 @@ def solve_knapmeddis(
             any(c.meets_own_est_bound for c in candidates),
         )
     )
-    cap1, cap2 = caps if caps is not None else theoretical_caps(rho, delta)
-    theo1, theo2 = theoretical_caps(rho, delta)
     below_theoretical = cap1 < theo1 or cap2 < theo2
 
     summaries = [
@@ -573,7 +570,7 @@ def solve_knapmeddis(
     ]
     return SolveReport(
         tau=tau,
-        b=float("nan"),
+        b=None,
         h=1,
         solution=best.solution,
         objective=discounted_cost(original, best.solution, alpha),
@@ -583,7 +580,7 @@ def solve_knapmeddis(
         final_levels={},
         certificates=certs,
         lp_optimum=best.lp_objective / inst.scale * original.scale,
-        initial_aux=float("nan"),
+        initial_aux=None,
         extras={
             "rho": rho,
             "delta": delta,
@@ -599,3 +596,29 @@ def solve_knapmeddis(
             "feasible": len(candidates),
         },
     )
+
+
+def solve(inst: Instance, tau: float | None = None, **opts) -> SolveReport:
+    """Solve ``inst`` with the solver of its constraint family.
+
+    ``tau`` and ``opts`` go to ``solve_kmeddis``, ``solve_matmeddis`` or
+    ``solve_knapmeddis`` unchanged; each solver's signature holds its
+    defaults. An option the chosen solver does not take is an input error.
+    """
+    con = inst.constraint
+    if isinstance(con, Cardinality):
+        solver = solve_kmeddis
+    elif isinstance(con, Matroid):
+        solver = solve_matmeddis
+    elif isinstance(con, Knapsack):
+        solver = solve_knapmeddis
+    else:
+        raise InstanceError(f"unknown constraint family {type(con).__name__}")
+    stray = sorted(set(opts) - set(inspect.signature(solver).parameters)) if opts else []
+    if stray:
+        raise InstanceError(
+            f"{type(con).__name__.lower()} instances take no option {', '.join(stray)}"
+        )
+    if tau is not None:
+        opts["tau"] = tau
+    return solver(inst, **opts)

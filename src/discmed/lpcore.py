@@ -92,6 +92,38 @@ class BasicOptimal:
     basis_certificate: list[tuple[str, int]]
 
 
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Make ``col`` the unit column of ``row`` by in-place row operations."""
+    T[row, :] /= T[row, col]
+    colv = T[:, col].copy()
+    colv[row] = 0.0
+    T -= np.outer(colv, T[row, :])
+
+
+def _redundant_rows(deps: np.ndarray, art_rows: list[int], rels: list[str], dropped: list[int]):
+    """Equality rows to leave out of the certificate, one per dropped tableau row.
+
+    Row k of ``deps`` holds the multipliers, on the original rows
+    ``art_rows``, of a row combination that vanishes on every real column.
+    Slack columns are unit columns, so only equality rows carry weight. The
+    rows left out must meet these dependencies in a nonsingular block: the
+    dropped rows themselves when they qualify, else rows that Gaussian
+    elimination picks.
+    """
+    pos = {r: k for k, r in enumerate(art_rows)}
+    own = all(rels[i] == "=" for i in dropped)
+    if own and abs(np.linalg.det(deps[:, [pos[i] for i in dropped]])) > PIVOT_TOL:
+        return set(dropped)
+    cand = [r for r in art_rows if rels[r] == "="]
+    D = deps[:, [pos[r] for r in cand]]
+    out = set()
+    for k in range(len(D)):  # largest entry of each reduced dependency as pivot
+        j = int(np.abs(D[k]).argmax())
+        out.add(cand[j])
+        D[k + 1 :] -= np.outer(D[k + 1 :, j] / D[k, j], D[k])
+    return out
+
+
 def solve(lp: LinearProgram) -> BasicOptimal:
     """Optimal vertex of ``lp``; raises InfeasibleLP / UnboundedLP otherwise."""
     n = lp.n_vars
@@ -211,11 +243,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
             out_status = _LO if ci[leave_row] > 0 else _HI
             xB[:] = xB - ci * step
             enter_val = nb_value[enter] + direction * step
-            piv = T[leave_row, enter]
-            T[leave_row, :] /= piv
-            colv = T[:, enter].copy()
-            colv[leave_row] = 0.0
-            T[:] -= np.outer(colv, T[leave_row, :])
+            _pivot(T, leave_row, enter)
             basis[leave_row] = enter
             status[enter] = _BASIC
             status[out_var] = out_status
@@ -224,7 +252,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
         raise LPError("pivot limit exceeded")
 
     # phase 1: drive artificials to zero
-    kept = list(range(m))
+    redundant: set[int] = set()
     if n_art:
         cost1 = np.zeros(N)
         cost1[n + n_slack :] = 1.0
@@ -245,23 +273,19 @@ def solve(lp: LinearProgram) -> BasicOptimal:
                 drop.append(i)  # row redundant over real variables
                 continue
             old = int(basis[i])
-            piv = T[i, pivcol]
-            T[i, :] /= piv
-            colv = T[:, pivcol].copy()
-            colv[i] = 0.0
-            T[:] -= np.outer(colv, T[i, :])
+            _pivot(T, i, pivcol)
             basis[i] = pivcol
             xB[i] = nb_value[pivcol]
             status[pivcol] = _BASIC
             status[old] = _LO
             nb_value[old] = 0.0
         if drop:
+            redundant = _redundant_rows(T[drop, n + n_slack :], need_art, rels, drop)
             keep = np.array([i for i in range(m) if i not in set(drop)], dtype=np.int64)
             T = T[keep, :]
             xB = xB[keep]
             basis = basis[keep]
-            kept = [kept[i] for i in keep]
-            m = len(kept)
+            m = len(keep)
     T = T[:, : n + n_slack]
     status = status[: n + n_slack]
     nb_value = nb_value[: n + n_slack]
@@ -301,13 +325,12 @@ def solve(lp: LinearProgram) -> BasicOptimal:
             if rels[i] == "=" or abs(lhs[i] - b[i]) <= FEAS_TOL * max(1.0, abs(b[i])):
                 tight.append(i)
 
-    cert: list[tuple[str, int]] = []
-    slack_rows = set(slack_of_row)
-    for pos, orig in enumerate(kept):
-        if orig not in slack_rows:
-            cert.append(("row", orig))
-        elif status[slack_of_row[orig]] != _BASIC:
-            cert.append(("row", orig))
+    # tight rows: equality rows bar one per dependency, and rows with a nonbasic slack
+    cert: list[tuple[str, int]] = [
+        ("row", i)
+        for i in range(len(rels))
+        if i not in redundant and (i not in slack_of_row or status[slack_of_row[i]] != _BASIC)
+    ]
     for j in range(n):
         if status[j] == _LO:
             cert.append(("lo", j))

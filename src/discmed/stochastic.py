@@ -15,20 +15,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .instance import (
-    Cardinality,
     Instance,
     InstanceError,
     Knapsack,
-    Matroid,
     discounted_cost,
+    from_json,
     generate,
     normalize,
+    to_json,
     validate,
 )
-from .iterround import bicriteria_factors, solve_kmeddis, solve_matmeddis
-from .knapsack import knapsack_alpha, knapsack_est_coefficient, solve_knapmeddis
+from .knapsack import solve
 
 EXACT_OUTCOME_GUARD = 1_000_000
+# knapsack options of the sweep's solves; rho and delta keep the solver's defaults
+SWEEP_KNAPSACK_OPTIONS = {"epsilon": 0.25}
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,7 @@ class SweepStep:
 
 @dataclass
 class StochasticReport:
+    tau: float  # base of the discount solves
     t_star: float
     alpha: float
     beta: float
@@ -157,27 +159,9 @@ class StochasticReport:
         }
 
 
-def _core_solver(constraint, tau, knap_options):
-    if isinstance(constraint, Cardinality):
-        alpha, beta = bicriteria_factors(tau, 2)
-        return (lambda inst: solve_kmeddis(inst, tau=tau).solution), alpha, beta
-    if isinstance(constraint, Matroid):
-        alpha, beta = bicriteria_factors(tau, 1)
-        return (lambda inst: solve_matmeddis(inst, tau=tau).solution), alpha, beta
-    if isinstance(constraint, Knapsack):
-        opts = dict(rho=1.0 / 3.0, delta=2.0 / 3.0, epsilon=0.25)
-        opts.update(knap_options or {})
-        alpha = knapsack_alpha(tau, opts["delta"])
-        beta = knapsack_est_coefficient(tau, opts["rho"], opts["delta"]) * (
-            1.0 + opts["epsilon"]
-        )
-        return (lambda inst: solve_knapmeddis(inst, tau=tau, **opts).solution), alpha, beta
-    raise InstanceError(f"unknown constraint family {type(constraint).__name__}")
-
-
 def solve_stochastic_center(
     stoch: StochasticInstance,
-    tau: float,
+    tau: float | None,
     epsilon: float,
     knap_options: dict | None = None,
 ) -> tuple[tuple[str, ...], StochasticReport]:
@@ -187,6 +171,8 @@ def solve_stochastic_center(
     T >= 1 (the normalized minimum distance), with a final T = 0 fallback.
     The returned set is the output at the smallest T passing the beta*T test,
     and E[max] <= (alpha + beta) * T_star is evaluated exactly when feasible.
+    Each step calls ``solve`` with ``tau`` (None: the family's default) and
+    ``knap_options``; a knapsack base starts from SWEEP_KNAPSACK_OPTIONS.
     """
     if not 0.0 < epsilon < 1.0:
         raise InstanceError("epsilon must lie in (0, 1)")
@@ -197,7 +183,9 @@ def solve_stochastic_center(
 
     probs = realization_probs(stoch)
     weighted = replace(base, client_weights=dict(probs))
-    solve_one, alpha, beta = _core_solver(base.constraint, tau, knap_options)
+    opts = dict(knap_options or {})
+    if isinstance(base.constraint, Knapsack):
+        opts = {**SWEEP_KNAPSACK_OPTIONS, **opts}
 
     diameter = float(base.metric.dist.max())
     ts: list[float] = []
@@ -212,7 +200,8 @@ def solve_stochastic_center(
     flagged = False
     for T in ts:
         inst_t = replace(weighted, discounts={j: T for j in base.clients})
-        solution = solve_one(inst_t)
+        rep = solve(inst_t, tau, **opts)
+        solution, alpha, beta = rep.solution, rep.alpha, rep.beta
         cost = discounted_cost(inst_t, solution, alpha if T > 0 else 1.0)
         passed = cost <= beta * T + 1e-9
         sweep.append(SweepStep(T=T, solution=solution, cost=cost, passed=passed))
@@ -229,6 +218,7 @@ def solve_stochastic_center(
     if realization_space_size(stoch) <= EXACT_OUTCOME_GUARD:
         expected = eval_expected_max(stoch, best.solution, mode="exact")
     report = StochasticReport(
+        tau=rep.tau,
         t_star=best.T,
         alpha=alpha,
         beta=beta,
@@ -277,16 +267,12 @@ def generate_stochastic(
 
 
 def stochastic_to_json(stoch: StochasticInstance) -> dict:
-    from .instance import to_json
-
     blob = to_json(stoch.base)
     blob["points"] = [{"id": pt.pid, "dist": dict(pt.dist)} for pt in stoch.points]
     return blob
 
 
 def stochastic_from_json(obj: dict) -> StochasticInstance:
-    from .instance import from_json
-
     base_blob = {k: v for k, v in obj.items() if k != "points"}
     base = from_json(base_blob)
     try:

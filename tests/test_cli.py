@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -9,6 +10,35 @@ from discmed.stochastic import generate_stochastic, stochastic_to_json
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def strict_json(path):
+    """Parse a report, rejecting the NaN and Infinity tokens strict JSON forbids."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+UNIT_TRIANGLE = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def tiny_instance(matrix=UNIT_TRIANGLE, discount=0.0, weight=1.0, knapsack=None):
+    """One facility, two clients; ``knapsack`` is (facility weight, budget)."""
+    blob = {
+        "facilities": [{"id": "f0"}],
+        "clients": [
+            {"id": "c0", "discount": discount, "weight": weight},
+            {"id": "c1", "discount": 0.0},
+        ],
+        "metric": {"type": "explicit", "matrix": [list(row) for row in matrix]},
+        "constraint": {"type": "cardinality", "k": 1},
+    }
+    if knapsack is not None:
+        blob["facilities"][0]["weight"] = knapsack[0]
+        blob["constraint"] = {"type": "knapsack", "budget": knapsack[1]}
+    return blob
 
 
 class TestGen:
@@ -91,7 +121,7 @@ class TestSolveVerify:
             "--out", str(rep_path),
         )
         assert code == 0
-        rep = json.loads(rep_path.read_text())
+        rep = strict_json(rep_path)
         assert rep["candidates"]  # per-candidate summaries are embedded
         assert not rep["capsBelowTheoretical"]
 
@@ -100,25 +130,27 @@ class TestSolveVerify:
         bad.write_text("{not json")
         assert run_cli("solve", str(bad)) == 1
 
-    def test_invariant_violation_exits_1(self, tmp_path):
+    @pytest.mark.parametrize(
+        "blob, flags",
+        [
+            pytest.param(
+                tiny_instance(matrix=((0, 1, 1), (1, 0, 5), (1, 5, 0))), (), id="triangle"
+            ),
+            pytest.param(tiny_instance(discount=math.nan), (), id="nan-discount"),
+            pytest.param(tiny_instance(discount=math.inf), (), id="inf-discount"),
+            pytest.param(tiny_instance(weight=math.inf), (), id="inf-client-weight"),
+            pytest.param(tiny_instance(weight=math.nan), (), id="nan-client-weight"),
+            pytest.param(tiny_instance(knapsack=(math.nan, 2.0)), (), id="nan-knapsack-weight"),
+            pytest.param(tiny_instance(knapsack=(1.0, math.inf)), (), id="inf-budget"),
+            pytest.param(tiny_instance(knapsack=(1.0, 2.0)), ("--tau", "1"), id="knapsack-tau-1"),
+            pytest.param(tiny_instance(), ("--tau", "inf"), id="infinite-tau"),
+            pytest.param(tiny_instance(), ("--rho", "0.9", "--step", "1"), id="foreign-flag"),
+        ],
+    )
+    def test_invariant_violation_exits_1(self, tmp_path, blob, flags):
         bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "facilities": [{"id": "f0"}],
-                    "clients": [
-                        {"id": "c0", "discount": 0.0},
-                        {"id": "c1", "discount": 0.0},
-                    ],
-                    "metric": {
-                        "type": "explicit",
-                        "matrix": [[0, 1, 1], [1, 0, 5], [1, 5, 0]],
-                    },
-                    "constraint": {"type": "cardinality", "k": 1},
-                }
-            )
-        )
-        assert run_cli("solve", str(bad)) == 1
+        bad.write_text(json.dumps(blob))  # NaN and Infinity tokens where given
+        assert run_cli("solve", str(bad), *flags) == 1
 
     def test_subunit_scale_is_repaired_not_rejected(self, tmp_path):
         half = tmp_path / "half.json"
@@ -151,7 +183,7 @@ class TestStochasticCommand:
             "--epsilon", "0.2", "--out", str(rep_path),
         )
         assert code == 0
-        rep = json.loads(rep_path.read_text())
+        rep = strict_json(rep_path)
         assert rep["certificates"][0]["holds"]
         assert rep["solution"]
         assert rep["guaranteeConstant"] == pytest.approx(

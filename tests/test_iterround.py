@@ -32,9 +32,9 @@ def bare_state(h=2, levels=(), balls=(), tau=2.0):
         F=[],
     )
     state = RoundState(
-        bs=bs, dm=dm, tau=tau, h=h, cols=[],
+        bs=bs, dm=dm, tau=tau, h=h, cols=[], col={},
         weights=np.zeros(0), discounts=np.zeros(0),
-        chat=np.zeros((n_copies, 0)), levels_mat=np.zeros((n_copies, 0), dtype=np.int64),
+        gain=np.zeros((n_copies, 0)), levels_mat=np.zeros((n_copies, 0), dtype=np.int64),
         F={}, B={}, level={}, C0=set(), C1=set(), Cstar=set(),
     )
     for k, (lev, ball) in enumerate(zip(levels, balls)):

@@ -112,3 +112,27 @@ def test_fixed_variable_bounds():
     res = solve(lp)
     assert res.values[0] == pytest.approx(1.0)
     assert res.values[1] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_certificate_after_dropping_a_redundant_row():
+    # Identical "= 1" rows plus a "<= 1" row over the same pair (x6, x7), as
+    # in an auxiliary LP whose ball row repeats an outer-ball row. Phase 1
+    # drops a tableau row whose artificial cannot leave; the certificate must
+    # still list n linearly independent tight conditions.
+    rows = [
+        ((1, 4), "=", 1), ((0, 1), "=", 1), ((2, 11), "=", 1), ((6, 7), "=", 1),
+        ((5, 8), "=", 1), ((0, 9), "=", 1), ((6, 7), "=", 1), ((2, 8), "=", 1),
+        ((1, 3, 4), "=", 1), ((2, 11), "=", 1), ((0, 9), "=", 1), ((5, 11), "=", 1),
+        ((6, 7), "=", 1), ((3, 4), "<=", 1), ((6, 7), "<=", 1),
+        ((0, 2, 3, 4, 6, 7), "<=", 3), ((1, 5, 10), "<=", 1), ((8, 9, 11), "<=", 1),
+    ]
+    lp = LinearProgram(12)
+    for support, rel, rhs in rows:
+        lp.add_row({v: 1.0 for v in support}, rel, rhs)
+    res = solve(lp)
+    mat = certificate_matrix(lp, res.basis_certificate)
+    assert mat.shape[0] == lp.n_vars
+    assert np.linalg.matrix_rank(mat, tol=1e-8) == lp.n_vars
+    for kind, idx in res.basis_certificate:
+        if kind == "row":
+            assert float(lp.row_coeffs[idx] @ res.values) == pytest.approx(lp.row_rhs[idx])
