@@ -1,7 +1,7 @@
 """Command line: solve / gen / verify / stochastic with JSON reports.
 
 Exit status: 0 on success with every certificate holding, 2 when a
-certificate fails (the report is still written), 1 on input errors.
+certificate fails (the report is still written), 1 on input and usage errors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .instance import (
     validate,
 )
 from .iterround import IntegralityError, RoundingError
-from .knapsack import SparsifyGuard, solve
+from .knapsack import OptionError, SparsifyGuard, solve
 from .oracle import GuardExceeded, check_bicriteria
 from .stochastic import (
     EXACT_OUTCOME_GUARD,
@@ -60,6 +60,10 @@ def _emit(blob: dict, out: str | None) -> None:
         print(text)
 
 
+# solver parameters set by a flag of another name
+_FLAGS = {"h": "--step", "caps": "--cap1/--cap2"}
+
+
 def _family_options(args, names) -> dict:
     """Family-only flags the user set, keyed by solver parameter name."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
@@ -86,7 +90,6 @@ def _cmd_solve(args) -> int:
         "cap2": args.cap2,
         "maxCandidates": args.max_candidates,
         "jobs": args.jobs,
-        "seed": args.seed,
     }
     if args.oracle:
         cert = check_bicriteria(inst, rep.solution, rep.alpha, rep.beta)
@@ -170,8 +173,16 @@ def _cmd_stochastic(args) -> int:
     return 0 if certified else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as bad input does; 2 means a failed certificate."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="discmed",
         description="median clustering with per-client discounts: solvers and certifiers",
     )
@@ -190,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--cap2", type=int, default=None)
     solve_p.add_argument("--max-candidates", type=int, default=None)
     solve_p.add_argument("--jobs", type=int, default=None)
-    solve_p.add_argument("--seed", type=int, default=0)
     solve_p.add_argument("--out", default=None)
     solve_p.add_argument("--oracle", action="store_true")
     solve_p.set_defaults(func=_cmd_solve)
@@ -232,6 +242,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OptionError as exc:  # name the flags, not the solver parameters
+        flags = [_FLAGS.get(n, "--" + n.replace("_", "-")) for n in exc.names]
+        print(f"error: {OptionError(exc.family, flags)}", file=sys.stderr)
+        return 1
     except (InstanceError, SparsifyGuard, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -51,6 +51,14 @@ class SparsifyGuard(RuntimeError):
     """Raised when the extended-instance enumeration would be too large."""
 
 
+class OptionError(InstanceError):
+    """Options that the solver of the instance's family does not take."""
+
+    def __init__(self, family: str, names: list[str]):
+        super().__init__(f"{family} instances take no option {', '.join(names)}")
+        self.family, self.names = family, names
+
+
 @dataclass
 class ExtendedInstance:
     """Knapsack sub-instance with pre-selected facilities and pruned clients."""
@@ -61,19 +69,18 @@ class ExtendedInstance:
     rho: float
     delta: float
     est: float
-    c0: float
     # radius caps depend on (cprime, rho, delta, est) but not on f0, so the
     # cache can be shared across extended instances that differ only in f0
-    _rj: dict[str, float] = field(default_factory=dict, repr=False)
+    rj: dict[str, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.f0 = tuple(sorted(self.f0))
         self.cprime = tuple(sorted(self.cprime))
 
     def radius_cap(self, client: str) -> float:
-        if client not in self._rj:
-            self._rj[client] = compute_Rj(self, client)
-        return self._rj[client]
+        if client not in self.rj:
+            self.rj[client] = compute_Rj(self, client)
+        return self.rj[client]
 
 
 def knapsack_sigma(tau: float) -> float:
@@ -225,29 +232,7 @@ def sparsify_structures(
     f0s: list[tuple[str, ...]] = []
     for s in range(0, min(cap1 + cap2, len(inst.facilities)) + 1):
         f0s.extend(itertools.combinations(inst.facilities, s))
-    pairs = []
-    seen = set()
-    for f0 in f0s:
-        for cp in cprimes:
-            key = (f0, cp)
-            if key not in seen and (f0 or cp):
-                seen.add(key)
-                pairs.append(key)
-    return pairs
-
-
-def sparsify_candidates(
-    inst: Instance,
-    rho: float,
-    delta: float,
-    est: float,
-    c0: float,
-    caps: tuple[int, int] | None = None,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-):
-    """Stream of extended instances for one (c0, EST) pair."""
-    for f0, cprime in sparsify_structures(inst, rho, delta, caps, max_candidates):
-        yield ExtendedInstance(inst, f0, cprime, rho, delta, est, c0)
+    return [(f0, cp) for f0 in f0s for cp in cprimes if f0 or cp]
 
 
 @dataclass
@@ -258,7 +243,8 @@ class KnapCandidate:
     fractional_residual: int
     lp_objective: float
     certificates: list[Certificate] = field(default_factory=list)
-    # diagnostic only: guaranteed for the witness (c0, EST) pair, not for all
+    # set by solve_knapmeddis: the cost is within the EST bound of one of the
+    # task's estimates; diagnostic only, guaranteed for the witness EST alone
     meets_own_est_bound: bool = False
 
 
@@ -340,7 +326,6 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
 
     alpha = knapsack_alpha(tau, ext.delta)
     cost = discounted_cost(inst, solution, alpha)
-    coef = knapsack_est_coefficient(tau, ext.rho, ext.delta)
     certs.append(Certificate("fractional_residual", float(t), 2.0, t <= 2))
     certs.append(Certificate.leq("solution_weight_le_budget", total_w, con.budget, tol=1e-7))
     if ext.cprime:
@@ -370,7 +355,6 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
         fractional_residual=t,
         lp_objective=U,
         certificates=certs,
-        meets_own_est_bound=bool(cost <= coef * ext.est + 1e-6 * max(1.0, coef * ext.est)),
     )
 
 
@@ -488,41 +472,31 @@ def solve_knapmeddis(
         raise InstanceError("invalid instance: " + "; ".join(problems))
 
     ub = _upper_bound_cost(inst)
-    pairs = enumerate_estimates(inst, epsilon)
-    kept_pairs = [
-        (c0, est)
-        for c0, est in pairs
+    kept_ests = dict.fromkeys(  # distinct, in first-seen order
+        est
+        for c0, est in enumerate_estimates(inst, epsilon)
         if c0 <= ub + 1e-9 and est <= (1.0 + epsilon) * ub + 1e-9
-    ]
+    )
     theo1, theo2 = theoretical_caps(rho, delta)
     cap1, cap2 = caps or (None, None)
     cap1, cap2 = theo1 if cap1 is None else cap1, theo2 if cap2 is None else cap2
     structures = sparsify_structures(inst, rho, delta, (cap1, cap2), max_candidates)
 
-    # group tasks: above the saturation threshold the LP is EST-independent,
-    # so one representative solve covers every saturated estimate
+    # one task per (F0, C', EST) class: above the saturation threshold the LP
+    # is EST-independent, so all saturated estimates share one task (key
+    # None) solved at the lowest of them; insertion order is the task order
     thresholds = {cp: _saturation_threshold(inst, cp, delta) for _, cp in structures}
-    tasks: list[ExtendedInstance] = []
-    member_ests: list[list[float]] = []
-    class_index: dict[tuple, int] = {}
-    rj_caches: dict[tuple, dict[str, float]] = {}
-    for c0, est in kept_pairs:
+    table: dict[tuple, list[float]] = {}
+    for est in kept_ests:
         for f0, cprime in structures:
             saturated = rho * est >= thresholds[cprime] - 1e-12
-            key = (f0, cprime, "sat") if saturated else (f0, cprime, est)
-            if key in class_index:
-                k = class_index[key]
-                if est not in member_ests[k]:
-                    member_ests[k].append(est)
-                if est < tasks[k].est:
-                    tasks[k].est = est
-                    tasks[k]._rj = rj_caches.setdefault((cprime, est), {})
-                continue
-            ext = ExtendedInstance(inst, f0, cprime, rho, delta, est, c0)
-            ext._rj = rj_caches.setdefault((cprime, est), {})
-            class_index[key] = len(tasks)
-            tasks.append(ext)
-            member_ests.append([est])
+            table.setdefault((f0, cprime, None if saturated else est), []).append(est)
+    rj_caches: dict[tuple, dict[str, float]] = {}
+    tasks = []
+    for (f0, cprime, _), ests in table.items():
+        est = min(ests)
+        rj = rj_caches.setdefault((cprime, est), {})
+        tasks.append(ExtendedInstance(inst, f0, cprime, rho, delta, est, rj))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -532,7 +506,7 @@ def solve_knapmeddis(
 
     coef = knapsack_est_coefficient(tau, rho, delta)
     candidates = []
-    for cand, ests in zip(results, member_ests):
+    for cand, ests in zip(results, table.values()):
         if cand is None:
             continue
         cand.meets_own_est_bound = any(
@@ -603,7 +577,7 @@ def solve(inst: Instance, tau: float | None = None, **opts) -> SolveReport:
 
     ``tau`` and ``opts`` go to ``solve_kmeddis``, ``solve_matmeddis`` or
     ``solve_knapmeddis`` unchanged; each solver's signature holds its
-    defaults. An option the chosen solver does not take is an input error.
+    defaults. An option the chosen solver does not take raises OptionError.
     """
     con = inst.constraint
     if isinstance(con, Cardinality):
@@ -616,9 +590,7 @@ def solve(inst: Instance, tau: float | None = None, **opts) -> SolveReport:
         raise InstanceError(f"unknown constraint family {type(con).__name__}")
     stray = sorted(set(opts) - set(inspect.signature(solver).parameters)) if opts else []
     if stray:
-        raise InstanceError(
-            f"{type(con).__name__.lower()} instances take no option {', '.join(stray)}"
-        )
+        raise OptionError(type(con).__name__.lower(), stray)
     if tau is not None:
         opts["tau"] = tau
     return solver(inst, **opts)

@@ -88,7 +88,6 @@ class BasicOptimal:
 
     values: np.ndarray
     objective_value: float
-    tight_rows: list[int]
     basis_certificate: list[tuple[str, int]]
 
 
@@ -224,20 +223,17 @@ def solve(lp: LinearProgram) -> BasicOptimal:
             limit = upb[enter] - lob[enter]
             if t_rows == np.inf and not np.isfinite(limit):
                 raise UnboundedLP("objective unbounded below")
-            if limit < t_rows - RATIO_TIE:
-                # bound flip, basis unchanged
+            cand = np.nonzero(t <= t_rows + RATIO_TIE)[0]
+            # bound flip, basis unchanged: the entering variable reaches its
+            # other bound first, or ties the rows and has the smaller index
+            if limit < t_rows - RATIO_TIE or (
+                limit <= t_rows + RATIO_TIE and enter < basis[cand].min()
+            ):
                 xB[:] = xB - ci * limit
                 status[enter] = _HI if direction > 0 else _LO
                 nb_value[enter] = upb[enter] if direction > 0 else lob[enter]
                 continue
-            cand = np.nonzero(t <= t_rows + RATIO_TIE)[0]
             leave_row = int(cand[np.argmin(basis[cand])])
-            if np.isfinite(limit) and limit <= t_rows + RATIO_TIE:
-                if enter < basis[leave_row]:
-                    xB[:] = xB - ci * limit
-                    status[enter] = _HI if direction > 0 else _LO
-                    nb_value[enter] = upb[enter] if direction > 0 else lob[enter]
-                    continue
             step = t_rows
             out_var = int(basis[leave_row])
             out_status = _LO if ci[leave_row] > 0 else _HI
@@ -318,13 +314,6 @@ def solve(lp: LinearProgram) -> BasicOptimal:
     if np.any(values < lo - FEAS_TOL) or np.any(values > hi + FEAS_TOL):
         raise LPError("post-hoc bound check failed")
 
-    tight = []
-    if len(rels):
-        lhs = A @ values
-        for i in range(len(rels)):
-            if rels[i] == "=" or abs(lhs[i] - b[i]) <= FEAS_TOL * max(1.0, abs(b[i])):
-                tight.append(i)
-
     # tight rows: equality rows bar one per dependency, and rows with a nonbasic slack
     cert: list[tuple[str, int]] = [
         ("row", i)
@@ -342,6 +331,5 @@ def solve(lp: LinearProgram) -> BasicOptimal:
     return BasicOptimal(
         values=values,
         objective_value=float(lp.objective @ values),
-        tight_rows=tight,
         basis_certificate=cert,
     )

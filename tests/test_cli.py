@@ -4,12 +4,16 @@ import math
 import pytest
 
 from discmed.cli import main
-from discmed.instance import dump, generate
+from discmed.instance import dump, generate, to_json
 from discmed.stochastic import generate_stochastic, stochastic_to_json
 
 
 def run_cli(*argv):
-    return main(list(argv))
+    """Exit status of ``discmed *argv``, also when argparse exits on its own."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def _reject_constant(token):
@@ -131,26 +135,81 @@ class TestSolveVerify:
         assert run_cli("solve", str(bad)) == 1
 
     @pytest.mark.parametrize(
-        "blob, flags",
+        "blob, flags, message",
         [
             pytest.param(
-                tiny_instance(matrix=((0, 1, 1), (1, 0, 5), (1, 5, 0))), (), id="triangle"
+                tiny_instance(matrix=((0, 1, 1), (1, 0, 5), (1, 5, 0))), (),
+                "triangle violation", id="triangle",
             ),
-            pytest.param(tiny_instance(discount=math.nan), (), id="nan-discount"),
-            pytest.param(tiny_instance(discount=math.inf), (), id="inf-discount"),
-            pytest.param(tiny_instance(weight=math.inf), (), id="inf-client-weight"),
-            pytest.param(tiny_instance(weight=math.nan), (), id="nan-client-weight"),
-            pytest.param(tiny_instance(knapsack=(math.nan, 2.0)), (), id="nan-knapsack-weight"),
-            pytest.param(tiny_instance(knapsack=(1.0, math.inf)), (), id="inf-budget"),
-            pytest.param(tiny_instance(knapsack=(1.0, 2.0)), ("--tau", "1"), id="knapsack-tau-1"),
-            pytest.param(tiny_instance(), ("--tau", "inf"), id="infinite-tau"),
-            pytest.param(tiny_instance(), ("--rho", "0.9", "--step", "1"), id="foreign-flag"),
+            pytest.param(
+                tiny_instance(discount=math.nan), (), "non-finite discount nan", id="nan-discount"
+            ),
+            pytest.param(
+                tiny_instance(discount=math.inf), (), "non-finite discount inf", id="inf-discount"
+            ),
+            pytest.param(
+                tiny_instance(weight=math.inf), (), "non-finite weight inf",
+                id="inf-client-weight",
+            ),
+            pytest.param(
+                tiny_instance(weight=math.nan), (), "non-finite weight nan",
+                id="nan-client-weight",
+            ),
+            pytest.param(
+                tiny_instance(knapsack=(math.nan, 2.0)), (), "non-finite knapsack weight",
+                id="nan-knapsack-weight",
+            ),
+            pytest.param(
+                tiny_instance(knapsack=(1.0, math.inf)), (), "non-finite knapsack budget",
+                id="inf-budget",
+            ),
+            pytest.param(
+                tiny_instance(knapsack=(1.0, 2.0)), ("--tau", "1"), "tau must be finite",
+                id="knapsack-tau-1",
+            ),
+            pytest.param(tiny_instance(), ("--tau", "inf"), "tau must be finite", id="infinite-tau"),
+            pytest.param(
+                tiny_instance(), ("--rho", "0.9", "--step", "1"),
+                "cardinality instances take no option --rho\n", id="foreign-flag",
+            ),
+            pytest.param(
+                to_json(generate(3, 4, kind="partition", seed=1)), ("--step", "1"),
+                "matroid instances take no option --step\n", id="matroid-step",
+            ),
+            pytest.param(
+                tiny_instance(), ("--cap1", "1", "--max-candidates", "9"),
+                "take no option --cap1/--cap2, --max-candidates\n", id="knapsack-flags",
+            ),
         ],
     )
-    def test_invariant_violation_exits_1(self, tmp_path, blob, flags):
+    def test_invariant_violation_exits_1(self, tmp_path, capsys, blob, flags, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))  # NaN and Infinity tokens where given
         assert run_cli("solve", str(bad), *flags) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(("solve", "{inst}", "--bogus"), "unrecognized arguments", id="unknown-flag"),
+            pytest.param(("solve", "{inst}", "--step", "3"), "invalid choice", id="step-3"),
+            pytest.param(("solve", "{inst}", "--tau", "x"), "invalid float value", id="tau-text"),
+            pytest.param(("solve", "{inst}", "--seed", "1"), "unrecognized arguments", id="solve-seed"),
+            pytest.param(("solve",), "required: instance", id="missing-path"),
+            pytest.param(("solve", "{missing}"), "cannot read", id="unreadable-path"),
+            pytest.param((), "required: command", id="no-command"),
+        ],
+    )
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv, message):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(tiny_instance()))
+        paths = {"inst": str(inst), "missing": str(tmp_path / "missing.json")}
+        assert run_cli(*(a.format(**paths) for a in argv)) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("solve", "--help")])
+    def test_help_and_version_exit_0(self, argv):
+        assert run_cli(*argv) == 0
 
     def test_subunit_scale_is_repaired_not_rejected(self, tmp_path):
         half = tmp_path / "half.json"

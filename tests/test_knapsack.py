@@ -15,7 +15,6 @@ from discmed.knapsack import (
     knapsack_est_coefficient,
     solve_extended,
     solve_knapmeddis,
-    sparsify_candidates,
     sparsify_structures,
 )
 from discmed.oracle import brute_opt
@@ -33,7 +32,7 @@ def knap_instance(seed=0, nf=3, nc=4, scale=0.4):
 
 def plain_extended(inst, est, rho=0.5, delta=2 / 3, f0=(), removed=()):
     cprime = tuple(j for j in inst.clients if j not in removed)
-    return ExtendedInstance(inst, tuple(f0), cprime, rho, delta, est, 0.0)
+    return ExtendedInstance(inst, tuple(f0), cprime, rho, delta, est)
 
 
 class TestEnumerateEstimates:
@@ -126,14 +125,11 @@ class TestComputeRj:
 class TestSparsify:
     def test_zero_caps_single_instance(self):
         inst = knap_instance(seed=3)
-        out = list(sparsify_candidates(inst, 0.5, 2 / 3, est=1.0, c0=1.0, caps=(0, 0)))
-        assert len(out) == 1
-        assert out[0].f0 == ()
-        assert out[0].cprime == inst.clients
+        assert sparsify_structures(inst, 0.5, 2 / 3, caps=(0, 0)) == [((), inst.clients)]
 
     def test_cap_total_one_counts_f0_singletons(self):
         inst = knap_instance(seed=4, nf=3)
-        out = list(sparsify_candidates(inst, 0.5, 2 / 3, est=1.0, c0=1.0, caps=(1, 0)))
+        out = sparsify_structures(inst, 0.5, 2 / 3, caps=(1, 0))
         assert len(out) == 4  # empty F0 plus three singletons, no removals
 
     def test_guard_refuses_with_count(self):
@@ -195,7 +191,7 @@ class TestLemma43AndDuplication:
             opt = brute_opt(inst)
             est = max(opt.value, 1e-6) * 1.1
             f0, cprime = paper_two_phase(inst, opt.optimum, rho, delta, est)
-            ext = ExtendedInstance(inst, f0, cprime, rho, delta, est, 0.0)
+            ext = ExtendedInstance(inst, f0, cprime, rho, delta, est)
             if sum(inst.constraint.weights[f] for f in f0) > inst.constraint.budget:
                 continue
             frac = solve_natural(inst, extended=ext)
@@ -338,9 +334,7 @@ class TestSolveExtended:
         inst = knap_instance(seed=13, nf=3, nc=4)
         w = inst.constraint.weights
         cheapest = min(inst.facilities, key=lambda f: w[f])
-        ext = ExtendedInstance(
-            inst, (cheapest,), (), 0.5, 2 / 3, est=1.0, c0=1.0
-        )
+        ext = ExtendedInstance(inst, (cheapest,), (), 0.5, 2 / 3, est=1.0)
         cand = solve_extended(ext, tau=1.9)
         assert cand is not None
         assert cand.solution == (cheapest,)
@@ -448,6 +442,37 @@ class TestSolveKnapMedDis:
         par = solve_knapmeddis(inst, tau=1.9, rho=0.5, epsilon=0.5, jobs=2)
         assert seq.solution == par.solution
         assert seq.objective == pytest.approx(par.objective)
+
+    @pytest.mark.parametrize(
+        "seed, evaluated, best_f0, ests",
+        [
+            (1, 555, ["f01"], [
+                0.0, 18.328551679648502, 20.75516926080043, 20.75516926080043,
+                16.604135408640342, 18.219263941590803,
+            ]),
+            (8, 663, ["f00"], [
+                0.0, 10.334247304378843, 9.321525867803617, 11.205571254815094,
+                11.205571254815094, 10.106255735207217, 15.428009257101918,
+                15.428009257101918, 15.791024586261274, 8.964457003852075,
+                14.006964068518867, 14.006964068518867, 17.508705085648582,
+                9.873925924545228, 15.428009257101918, 19.2850115713774,
+                9.484273041914026, 14.819176627990666, 14.819176627990666,
+                18.523970784988332,
+            ]),
+        ],
+    )
+    def test_task_table_is_pinned(self, seed, evaluated, best_f0, ests):
+        # one task per (F0, C', EST) class, all saturated estimates sharing a
+        # task at the lowest of them; the task order decides ties among
+        # equal-cost candidates, so counts, the winner and the order are fixed
+        inst = knap_instance(seed=seed, nf=2, nc=3, scale=0.4)
+        rep = solve_knapmeddis(inst, tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25)
+        assert rep.extras["evaluated"] == evaluated
+        assert rep.extras["feasible"] == len(ests)
+        assert rep.extras["bestEst"] == 0.0
+        assert rep.extras["bestF0"] == best_f0
+        assert rep.lp_optimum == 0.0
+        assert [c["est"] for c in rep.extras["candidates"]] == ests
 
     def test_caps_below_theoretical_flagged(self):
         inst = knap_instance(seed=12, nf=3, nc=3)

@@ -26,7 +26,7 @@ def test_equality_row_enters_directly():
     res = solve(lp)
     assert res.objective_value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.values, [1.0, 0.0], atol=1e-7)
-    assert 0 in res.tight_rows
+    assert ("row", 0) in res.basis_certificate
 
 
 def test_infeasible_detected():
