@@ -144,11 +144,11 @@ def _aux_lp(state: RoundState, rows) -> tuple[LinearProgram, float]:
     bs = state.bs
     coeff = np.zeros(bs.n_copies)
     const = 0.0
-    for key in state.C0:
+    for key in sorted(state.C0):
         cj = state.col[key]
         for c in state.F[key]:
             coeff[c] += state.gain[c, cj]
-    for key in state.C1:
+    for key in sorted(state.C1):
         cj = state.col[key]
         head = _level_head(state, key)
         const += head

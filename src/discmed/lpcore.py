@@ -17,6 +17,7 @@ import numpy as np
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 RATIO_TIE = 1e-12
+PIVOT_LIMIT = 100000  # per phase
 
 _LO, _HI, _BASIC = 0, 1, 2
 
@@ -92,11 +93,20 @@ class BasicOptimal:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    """Make ``col`` the unit column of ``row`` by in-place row operations."""
+    """Make ``col`` the unit column of ``row`` by in-place row operations.
+
+    Only rows with a nonzero in ``col`` change. Each touched entry gets the
+    same ``T[i, j] - colv[i] * T[row, j]`` as a full outer-product update,
+    without an m-by-N temporary.
+    """
     T[row, :] /= T[row, col]
     colv = T[:, col].copy()
     colv[row] = 0.0
-    T -= np.outer(colv, T[row, :])
+    prow = T[row]
+    nz = colv.nonzero()[0]
+    for i, f in zip(nz.tolist(), colv[nz].tolist()):
+        target = T[i]
+        target -= f * prow  # in place on the row view
 
 
 def _redundant_rows(deps: np.ndarray, art_rows: list[int], rels: list[str], dropped: list[int]):
@@ -193,66 +203,74 @@ def solve(lp: LinearProgram) -> BasicOptimal:
 
     nb_value = np.where(status[:N] == _HI, upb, lob)  # value of nonbasic vars
 
-    def run(cost: np.ndarray, allowed: int) -> None:
-        """Bland pivoting on columns [0, allowed) until optimal/unbounded."""
-        movable = (lob < upb)[:allowed]
-        for _ in range(100000):
-            zrow = cost - cost[basis] @ T
-            st = status[:allowed]
-            z = zrow[:allowed]
+    def run(cost: np.ndarray, phase: int) -> None:
+        """Bland pivoting until optimal/unbounded.
+
+        The reduced costs ``zrow`` are updated by one row operation per basis
+        change (a bound flip leaves them unchanged) and computed afresh from
+        ``cost`` before optimality is declared, so the optimality test is as
+        strong as pricing every pivot from scratch.
+        """
+        movable = lob < upb
+        zrow = cost - cost[basis] @ T
+        fresh = True
+        for _ in range(PIVOT_LIMIT):
             eligible = movable & (
-                ((st == _LO) & (z < -FEAS_TOL)) | ((st == _HI) & (z > FEAS_TOL))
+                ((status == _LO) & (zrow < -FEAS_TOL)) | ((status == _HI) & (zrow > FEAS_TOL))
             )
             if not eligible.any():
-                return
+                if fresh:
+                    return
+                zrow = cost - cost[basis] @ T
+                fresh = True
+                continue
             enter = int(eligible.argmax())  # Bland: smallest eligible index
             direction = 1.0 if status[enter] == _LO else -1.0
-            col = T[:, enter]
-            ci = direction * col
+            ci = direction * T[:, enter]
+            # ratio test: a row blocks when its basic variable would hit a bound
             t = np.full(m, np.inf)
-            dec = ci > PIVOT_TOL
-            if dec.any():
-                t[dec] = (xB[dec] - lob[basis[dec]]) / ci[dec]
-            inc = ci < -PIVOT_TOL
-            if inc.any():
-                ub = upb[basis[inc]]
-                ti = np.where(np.isfinite(ub), (ub - xB[inc]) / (-ci[inc]), np.inf)
-                t[inc] = ti
-            t = np.maximum(t, 0.0)
+            np.divide(xB - lob[basis], ci, out=t, where=ci > PIVOT_TOL)
+            np.divide(upb[basis] - xB, -ci, out=t, where=ci < -PIVOT_TOL)
+            np.maximum(t, 0.0, out=t)
             t_rows = float(t.min()) if m else np.inf
             limit = upb[enter] - lob[enter]
             if t_rows == np.inf and not np.isfinite(limit):
                 raise UnboundedLP("objective unbounded below")
             cand = np.nonzero(t <= t_rows + RATIO_TIE)[0]
+            cand_vars = basis[cand]
             # bound flip, basis unchanged: the entering variable reaches its
             # other bound first, or ties the rows and has the smaller index
             if limit < t_rows - RATIO_TIE or (
-                limit <= t_rows + RATIO_TIE and enter < basis[cand].min()
+                limit <= t_rows + RATIO_TIE and enter < cand_vars.min()
             ):
-                xB[:] = xB - ci * limit
+                xB[:] -= ci * limit
                 status[enter] = _HI if direction > 0 else _LO
                 nb_value[enter] = upb[enter] if direction > 0 else lob[enter]
                 continue
-            leave_row = int(cand[np.argmin(basis[cand])])
+            leave_row = int(cand[cand_vars.argmin()])
             step = t_rows
             out_var = int(basis[leave_row])
             out_status = _LO if ci[leave_row] > 0 else _HI
-            xB[:] = xB - ci * step
+            xB[:] -= ci * step
             enter_val = nb_value[enter] + direction * step
             _pivot(T, leave_row, enter)
+            zrow -= zrow[enter] * T[leave_row]
+            fresh = False
             basis[leave_row] = enter
             status[enter] = _BASIC
             status[out_var] = out_status
             nb_value[out_var] = lob[out_var] if out_status == _LO else upb[out_var]
             xB[leave_row] = enter_val
-        raise LPError("pivot limit exceeded")
+        raise LPError(
+            f"pivot limit exceeded in phase {phase} on a {T.shape[0]}x{T.shape[1]} tableau"
+        )
 
     # phase 1: drive artificials to zero
     redundant: set[int] = set()
     if n_art:
         cost1 = np.zeros(N)
         cost1[n + n_slack :] = 1.0
-        run(cost1, N)
+        run(cost1, 1)
         art_basic = basis >= n + n_slack
         if float(xB[art_basic].sum()) > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
             raise InfeasibleLP("phase-1 optimum is positive")
@@ -292,7 +310,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
     # phase 2
     cost2 = np.zeros(N)
     cost2[:n] = lp.objective
-    run(cost2, N)
+    run(cost2, 2)
 
     x = nb_value.copy()
     x[basis] = xB
@@ -311,8 +329,13 @@ def solve(lp: LinearProgram) -> BasicOptimal:
             )
             if not ok:
                 raise LPError(f"post-hoc feasibility failed on row {i}: residual {err:.3g}")
-    if np.any(values < lo - FEAS_TOL) or np.any(values > hi + FEAS_TOL):
-        raise LPError("post-hoc bound check failed")
+    outside = np.nonzero((values < lo - FEAS_TOL) | (values > hi + FEAS_TOL))[0]
+    if len(outside):
+        j = int(outside[0])
+        raise LPError(
+            f"post-hoc bound check failed: x[{j}] = {float(values[j])} "
+            f"outside [{float(lo[j])}, {float(hi[j])}]"
+        )
 
     # tight rows: equality rows bar one per dependency, and rows with a nonbasic slack
     cert: list[tuple[str, int]] = [

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import discmed
 from discmed import instance as I
 from discmed.discretize import DiscretizedMetric
 from discmed.fractional import BallSystem, duplicate_facilities, make_distance_optimal, solve_natural
@@ -242,3 +247,40 @@ def test_bicriteria_factor_formulas():
     a1, b1 = bicriteria_factors(2.36, 1)
     assert a1 == pytest.approx(2.36 * (3 * 2.36 - 1) / (2.36 - 1))
     assert b1 == pytest.approx((3 * 2.36 - 1) / math.log(2.36))
+
+
+# One stochastic sweep and one knapsack solve; prints the sha1 of both
+# report JSONs and the sha1 of every auxiliary LP's objective and values.
+HASH_SEED_PROBE = """
+import hashlib, json
+import discmed.iterround as ir
+from discmed import generate, solve
+from discmed.stochastic import generate_stochastic, solve_stochastic_center
+
+aux = hashlib.sha1()
+inner = ir.solve
+def traced(lp):
+    res = inner(lp)
+    aux.update(lp.objective.tobytes() + res.values.tobytes())
+    return res
+ir.solve = traced
+_, sweep = solve_stochastic_center(generate_stochastic(4, 5, seed=1), None, 0.3)
+knap = solve(generate(2, 2, kind="knapsack", discount_scale=0.4, seed=1),
+             tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25)
+reports = json.dumps([sweep.to_json(), knap.to_json()], sort_keys=True)
+print(hashlib.sha1(reports.encode()).hexdigest(), aux.hexdigest())
+"""
+
+
+def test_auxiliary_lps_do_not_depend_on_the_string_hash_seed():
+    src = str(Path(discmed.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

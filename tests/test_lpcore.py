@@ -1,9 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from discmed.lpcore import InfeasibleLP, LinearProgram, solve
+from discmed import generate, lpcore
+from discmed.fractional import build_natural_lp
+from discmed.knapsack import ExtendedInstance
+from discmed.lpcore import InfeasibleLP, LinearProgram, LPError, solve
 
 from .helpers import certificate_matrix, random_feasible_lp, vertex_enum_optimum
+
+try:
+    from scipy.optimize import linprog  # test-only yardstick; never a runtime dependency
+except ImportError:
+    linprog = None
 
 
 def test_single_variable_lower_bound():
@@ -136,3 +148,121 @@ def test_certificate_after_dropping_a_redundant_row():
     for kind, idx in res.basis_certificate:
         if kind == "row":
             assert float(lp.row_coeffs[idx] @ res.values) == pytest.approx(lp.row_rhs[idx])
+
+
+def knapsack_extended_instance():
+    inst = generate(4, 8, kind="knapsack", seed=3)
+    return inst, ExtendedInstance(inst, ("f00",), inst.clients, 1 / 3, 2 / 3, 100.0)
+
+
+# sha1 of values.tobytes() + repr(basis_certificate), recorded before the
+# tableau update became row-sparse: the pivot may get cheaper, never move the vertex
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: (generate(8, 20, kind="cardinality", seed=1), None),
+         "d911a956766a7cb0e7bf188d69d387b0f6da0147"),
+        (lambda: (generate(8, 20, kind="cardinality", seed=2), None),
+         "f53cc7128fe4f8e3d4a72663ad5e7f8d977ba8d3"),
+        (lambda: (generate(8, 20, kind="partition", seed=1), None),
+         "e01de191e5fd39235fc3ac6d6348a5a5e116b9cc"),
+        (lambda: (generate(8, 20, kind="partition", seed=2), None),
+         "0abd5b7e2b35f3fc973d7a1621829cc69831f1e5"),
+        (knapsack_extended_instance, "10b15900f7c873bf38d09d80f55be23b8410052b"),
+    ],
+    ids=["cardinality-1", "cardinality-2", "partition-1", "partition-2", "knapsack-extended"],
+)
+def test_natural_lp_vertex_is_pinned(build, digest):
+    res = solve(build_natural_lp(*build()).lp)
+    got = hashlib.sha1(res.values.tobytes() + repr(res.basis_certificate).encode()).hexdigest()
+    assert got == digest
+
+
+def degenerate_lp(rng: np.random.Generator, n: int, m: int) -> LinearProgram:
+    """Small integer LP with tied costs, rows through one integer point and
+    about 30% repeated rows (each repeat takes a fresh relation)."""
+    lo = rng.choice([-1.0, 0.0], size=n)
+    hi = lo + rng.choice([0.0, 1.0, 2.0], size=n, p=[0.1, 0.6, 0.3])
+    lp = LinearProgram(n, objective=rng.choice([-1.0, 0.0, 1.0], size=n), lo=lo, hi=hi)
+    point = lo + rng.integers(0, hi - lo + 1)
+    for _ in range(m):
+        if lp.n_rows and rng.random() < 0.3:
+            k = int(rng.integers(lp.n_rows))
+            a, rhs = lp.row_coeffs[k], lp.row_rhs[k]
+        else:
+            a = rng.integers(-2, 3, size=n).astype(float)
+            rhs = float(a @ point) + float(rng.choice([0.0, 0.0, 0.0, 1.0, -1.0]))
+        lp.add_row(a, str(rng.choice(["<=", "=", ">="])), rhs)
+    return lp
+
+
+def highs(lp: LinearProgram):
+    A, b = lp.matrix(), np.asarray(lp.row_rhs)
+    rel = np.array(lp.row_rel)
+    ub = rel != "="
+    sign = np.where(rel[ub] == "<=", 1.0, -1.0)
+    return linprog(
+        lp.objective,
+        A_ub=A[ub] * sign[:, None] if ub.any() else None,
+        b_ub=b[ub] * sign if ub.any() else None,
+        A_eq=A[~ub] if (~ub).any() else None,
+        b_eq=b[~ub] if (~ub).any() else None,
+        bounds=list(zip(lp.lo, lp.hi)),
+        method="highs-ds",
+    )
+
+
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_degenerate_lps_return_certified_vertices(n, m, seed):
+    lp = degenerate_lp(np.random.default_rng(seed), n, m)
+    try:
+        res = solve(lp)
+    except InfeasibleLP:
+        res = None
+    else:
+        mat = certificate_matrix(lp, res.basis_certificate)
+        assert mat.shape[0] == n
+        assert np.linalg.matrix_rank(mat, tol=1e-8) == n
+        bound = {"lo": lp.lo, "hi": lp.hi}
+        for kind, idx in res.basis_certificate:
+            if kind == "row":
+                assert lp.row_coeffs[idx] @ res.values == pytest.approx(lp.row_rhs[idx], abs=1e-7)
+            else:
+                assert res.values[idx] == pytest.approx(bound[kind][idx], abs=1e-7)
+    if linprog is None:
+        return
+    ref = highs(lp)
+    assert ref.status == (2 if res is None else 0), ref.message
+    if res is not None:
+        assert res.objective_value == pytest.approx(ref.fun, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "rel, message",
+    [
+        (">=", r"pivot limit exceeded in phase 1 on a 1x4 tableau"),  # slack and artificial
+        ("<=", r"pivot limit exceeded in phase 2 on a 1x3 tableau"),  # slack only
+    ],
+    ids=["phase-1", "phase-2"],
+)
+def test_pivot_limit_names_phase_and_tableau(monkeypatch, rel, message):
+    monkeypatch.setattr(lpcore, "PIVOT_LIMIT", 0)
+    lp = LinearProgram(2, objective=[-1.0, -1.0])
+    lp.add_row([1.0, 1.0], rel, 1.0)
+    with pytest.raises(LPError, match=message):
+        solve(lp)
+
+
+def test_bound_audit_names_the_variable(monkeypatch):
+    # a negative tolerance fails every value at its bound, so the audit
+    # must report the first one: the row-free LP keeps x0 at its lower bound
+    monkeypatch.setattr(lpcore, "FEAS_TOL", -1.0)
+    lp = LinearProgram(2, objective=[1.0, 1.0], lo=[0.25, 0.0], hi=[1.0, 1.0])
+    message = r"post-hoc bound check failed: x\[0\] = 0.25 outside \[0.25, 1.0\]"
+    with pytest.raises(LPError, match=message):
+        solve(lp)
