@@ -1,7 +1,8 @@
 """Command line: solve / gen / verify / stochastic with JSON reports.
 
 Exit status: 0 on success with every certificate holding, 2 when a
-certificate fails (the report is still written), 1 on input and usage errors.
+certificate fails (the report is still written), 1 on input and usage errors
+and on a rounding or LP failure.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .instance import (
     to_json,
     validate,
 )
-from .iterround import IntegralityError, RoundingError
+from .iterround import RoundingError
 from .knapsack import OptionError, SparsifyGuard, solve
+from .lpcore import LPError
 from .oracle import GuardExceeded, check_bicriteria
 from .stochastic import (
     EXACT_OUTCOME_GUARD,
@@ -249,8 +251,11 @@ def main(argv=None) -> int:
     except (InstanceError, SparsifyGuard, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IntegralityError, RoundingError) as exc:
+    except RoundingError as exc:
         print(f"rounding failure: {exc}", file=sys.stderr)
+        return 1
+    except LPError as exc:
+        print(f"LP failure: {exc}", file=sys.stderr)
         return 1
 
 

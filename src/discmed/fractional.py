@@ -38,10 +38,8 @@ class FractionalSolution:
 
 @dataclass
 class NaturalLP:
-    lp: LinearProgram
-    y_index: dict[int, int]  # facility position -> variable
+    lp: LinearProgram  # variable fi is the opening of facility position fi
     x_index: dict[tuple[int, int], int]  # (facility pos, client pos) -> variable
-    client_cols: list[int]  # client positions covered by the LP
     eliminated: set[tuple[int, int]]  # pairs pinned to zero and left out
 
 
@@ -132,7 +130,6 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
                 elif fi not in f0_pos and contrib[fi, cj] > rho_est + 1e-12:
                     eliminated.add((fi, cj))  # single pair already too costly
 
-    y_index = {fi: fi for fi in range(nf)}
     x_index: dict[tuple[int, int], int] = {}
     nxt = nf
     for cj in cols:
@@ -155,10 +152,10 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
     for cj in cols:
         coeffs = {x_index[(fi, cj)]: 1.0 for fi in range(nf) if (fi, cj) in x_index}
         lp.add_row(coeffs, "=", 1.0)
-    for coeffs, rel, rhs in family_rows(inst, inst.facilities):  # y_index[fi] == fi
+    for coeffs, rel, rhs in family_rows(inst, inst.facilities):
         lp.add_row(coeffs, rel, rhs)
     for (fi, cj), v in x_index.items():
-        lp.add_row({v: 1.0, y_index[fi]: -1.0}, "<=", 0.0)
+        lp.add_row({v: 1.0, fi: -1.0}, "<=", 0.0)
     if extended is not None:
         rho_est = extended.rho * extended.est
         for fi in range(nf):
@@ -169,17 +166,15 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
                 for cj in cols
                 if (fi, cj) in x_index and contrib[fi, cj] > 0
             }
-            coeffs[y_index[fi]] = coeffs.get(y_index[fi], 0.0) - rho_est
+            coeffs[fi] = coeffs.get(fi, 0.0) - rho_est
             lp.add_row(coeffs, "<=", 0.0)  # per-facility star-cost cap
-    return NaturalLP(lp, y_index, x_index, cols, eliminated)
+    return NaturalLP(lp, x_index, eliminated)
 
 
 def decode(nat: NaturalLP, inst: Instance, res: BasicOptimal) -> FractionalSolution:
     nf, nc = len(inst.facilities), len(inst.clients)
     x = np.zeros((nf, nc))
-    y = np.zeros(nf)
-    for fi, v in nat.y_index.items():
-        y[fi] = res.values[v]
+    y = res.values[:nf].copy()
     for (fi, cj), v in nat.x_index.items():
         x[fi, cj] = res.values[v]
     x[np.abs(x) < SUPPORT_TOL] = 0.0
@@ -226,14 +221,13 @@ class BallSystem:
 
     Copies are indexed densely; ``orig[c]`` is the original facility id of
     copy c, copies inherit distances and knapsack weights. ``F[cj]`` is the
-    outer ball (copy indices) of the client in column ``clients[cj]``.
+    outer ball (copy indices) of the client in column ``inst.clients[cj]``.
     """
 
     orig: list[str]
     y: np.ndarray
     weight: np.ndarray
     dist: np.ndarray  # (n_copies, n_clients)
-    clients: tuple[str, ...]
     F: list[set[int]]
 
     @property
@@ -304,7 +298,6 @@ def duplicate_facilities(sol: FractionalSolution, inst: Instance) -> BallSystem:
         y=np.array(y),
         weight=np.array(weight),
         dist=dist,
-        clients=inst.clients,
         F=F,
     )
     for cj in cols:
@@ -395,7 +388,6 @@ def duplicate_star_balanced(sol: FractionalSolution, inst: Instance, extended) -
         y=np.array([y[c] for c in keep]),
         weight=np.array([inst.weight_of(orig[c]) for c in keep]),
         dist=inst.dist_fc[[rows[c] for c in keep], :],
-        clients=inst.clients,
         F=[{remap[c] for c in ball} for ball in F],
     )
     _audit_star_balance(bs, inst, extended, sol.objective_value)

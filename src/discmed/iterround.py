@@ -62,12 +62,8 @@ class VirtualClient:
 class RoundState:
     bs: BallSystem
     dm: DiscretizedMetric
-    tau: float
+    inst: Instance  # client columns, weights and discounts
     h: int
-    cols: list[int]  # participating real client columns
-    col: dict[str, int]  # real client id -> column
-    weights: np.ndarray
-    discounts: np.ndarray
     gain: np.ndarray  # rounded contributions w_j * (chat - tau * r_j)^+ per copy and client
     levels_mat: np.ndarray
     F: dict[str, set[int]]
@@ -76,7 +72,6 @@ class RoundState:
     C0: set[str]
     C1: set[str]
     Cstar: set[str]
-    virtuals: dict[str, VirtualClient] = field(default_factory=dict)
     trace: list[dict] = field(default_factory=list)
     objectives: list[float] = field(default_factory=list)
     max_contribution_drift: float = 0.0
@@ -84,7 +79,7 @@ class RoundState:
 
     def dump(self) -> str:
         lines = [
-            f"tau={self.tau} h={self.h} b={self.dm.b}",
+            f"tau={self.dm.tau} h={self.h} b={self.dm.b}",
             f"C0={sorted(self.C0)} C1={sorted(self.C1)} Cstar={sorted(self.Cstar)}",
             f"levels={ {k: self.level[k] for k in sorted(self.level)} }",
         ]
@@ -99,7 +94,8 @@ def bicriteria_factors(tau: float, h: int) -> tuple[float, float]:
 
 def nearest_open_distance_bound(state: RoundState, key: str) -> float:
     """Certified radius (3 tau^h - 1)/(tau^h - 1) * D_level for a client."""
-    radial = (3.0 * state.tau**state.h - 1.0) / (state.tau**state.h - 1.0)
+    tau = state.dm.tau
+    radial = (3.0 * tau**state.h - 1.0) / (tau**state.h - 1.0)
     return radial * state.dm.level_value(state.level[key])
 
 
@@ -134,10 +130,10 @@ def _check_cstar(state: RoundState) -> None:
 
 def _level_head(state: RoundState, key: str) -> float:
     """w_j * (D_level - tau * r_j)^+: the contribution of a client at its level value."""
-    cj = state.col[key]
-    return state.weights[cj] * max(
-        state.dm.level_value(state.level[key]) - state.tau * state.discounts[cj], 0.0
-    )
+    inst = state.inst
+    cj = inst.cli_pos[key]
+    level_value = state.dm.level_value(state.level[key])
+    return inst.w[cj] * max(level_value - state.dm.tau * inst.r[cj], 0.0)
 
 
 def _aux_lp(state: RoundState, rows) -> tuple[LinearProgram, float]:
@@ -145,11 +141,11 @@ def _aux_lp(state: RoundState, rows) -> tuple[LinearProgram, float]:
     coeff = np.zeros(bs.n_copies)
     const = 0.0
     for key in sorted(state.C0):
-        cj = state.col[key]
+        cj = state.inst.cli_pos[key]
         for c in state.F[key]:
             coeff[c] += state.gain[c, cj]
     for key in sorted(state.C1):
-        cj = state.col[key]
+        cj = state.inst.cli_pos[key]
         head = _level_head(state, key)
         const += head
         for c in state.B[key]:
@@ -168,7 +164,7 @@ def _aux_lp(state: RoundState, rows) -> tuple[LinearProgram, float]:
 
 
 def _contribution(state: RoundState, key: str, y: np.ndarray) -> float:
-    gain = state.gain[:, state.col[key]]
+    gain = state.gain[:, state.inst.cli_pos[key]]
     if key in state.C0:
         return float(sum(y[c] * gain[c] for c in state.F[key]))
     ball = float(sum(y[c] for c in state.B[key]))
@@ -178,7 +174,7 @@ def _contribution(state: RoundState, key: str, y: np.ndarray) -> float:
 
 
 def _inner_ball(state: RoundState, key: str) -> set[int]:
-    cj = state.col[key]
+    cj = state.inst.cli_pos[key]
     cap = state.level[key] - 1
     return {c for c in state.F[key] if state.levels_mat[c, cj] <= cap}
 
@@ -199,18 +195,14 @@ def iter_round(
     if h not in (1, 2):
         raise InstanceError("step size must be 1 or 2")
     if cols is None:
-        cols = [cj for cj in range(len(bs.clients)) if bs.F[cj]]
+        cols = [cj for cj in range(len(inst.clients)) if bs.F[cj]]
     chat = dm.round_up_array(bs.dist)
     levels_mat = dm.levels_array(bs.dist)
     state = RoundState(
         bs=bs,
         dm=dm,
-        tau=dm.tau,
+        inst=inst,
         h=h,
-        cols=list(cols),
-        col={key: cj for cj, key in enumerate(bs.clients)},
-        weights=inst.w,
-        discounts=inst.r,
         gain=inst.w[None, :] * np.maximum(chat - dm.tau * inst.r[None, :], 0.0),
         levels_mat=levels_mat,
         F={},
@@ -221,7 +213,7 @@ def iter_round(
         Cstar=set(),
     )
     for cj in cols:
-        key = bs.clients[cj]
+        key = inst.clients[cj]
         if not bs.F[cj]:
             raise InstanceError(f"client {key} has an empty outer ball")
         state.F[key] = set(bs.F[cj])
@@ -229,7 +221,6 @@ def iter_round(
         state.B[key] = set()
         state.C0.add(key)
     for v in sorted(virtuals, key=lambda v: v.vid):
-        state.virtuals[v.vid] = v
         state.F[v.vid] = set(v.copies)
         state.level[v.vid] = -1
         state.B[v.vid] = set()

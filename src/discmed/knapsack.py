@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import DiscretizedMetric, choose_offset
-from .fractional import BallSystem, duplicate_star_balanced, solve_natural, star_costs
+from .fractional import duplicate_star_balanced, solve_natural, star_costs
 from .instance import (
     Cardinality,
     Instance,
@@ -295,17 +295,7 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
     U = frac_sol.objective_value
 
     certs: list[Certificate] = []
-    if ext.cprime:
-        bs = duplicate_star_balanced(frac_sol, inst, ext)
-    else:
-        bs = BallSystem(
-            orig=list(inst.facilities),
-            y=np.array([1.0 if f in ext.f0 else 0.0 for f in inst.facilities]),
-            weight=np.array([con.weights[f] for f in inst.facilities]),
-            dist=inst.dist_fc.copy(),
-            clients=inst.clients,
-            F=[set() for _ in inst.clients],
-        )
+    bs = duplicate_star_balanced(frac_sol, inst, ext)
     cols = sorted(inst.cli_pos[j] for j in ext.cprime)
     c_arr, r_arr, m_arr = offset_support(bs, inst, cols)
     b, initial_aux = choose_offset(c_arr, r_arr, m_arr, tau)
@@ -465,6 +455,11 @@ def solve_knapmeddis(
         raise InstanceError("tau must be finite and exceed 1")
     if not (0.0 < rho < 1.0 and 0.0 < delta < 1.0):
         raise InstanceError("rho and delta must lie in (0, 1)")
+    if not 0.0 < epsilon < math.inf:
+        raise InstanceError(f"epsilon must be finite and positive, got {epsilon}")
+    for k, cap in enumerate(caps or (), start=1):
+        if cap is not None and cap < 0:
+            raise InstanceError(f"caps must be nonnegative: cap{k} = {cap}")
     original = inst
     inst = normalize(inst)
     problems = validate(inst)

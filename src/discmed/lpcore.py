@@ -19,8 +19,6 @@ PIVOT_TOL = 1e-9
 RATIO_TIE = 1e-12
 PIVOT_LIMIT = 100000  # per phase
 
-_LO, _HI, _BASIC = 0, 1, 2
-
 
 class LPError(Exception):
     pass
@@ -189,9 +187,10 @@ def solve(lp: LinearProgram) -> BasicOptimal:
 
     lob = np.concatenate([lo, np.zeros(n_slack + n_art)])
     upb = np.concatenate([hi, np.full(n_slack + n_art, np.inf)])
-    status = np.full(N, _LO, dtype=np.int8)
-    # structurals start at the bound nearest zero
-    status[:n] = np.where(x0 == lo, _LO, _HI)
+    # +1 nonbasic at lob, -1 nonbasic at upb, 0 basic; structurals start at
+    # the bound nearest zero
+    side = np.ones(N)
+    side[:n] = np.where(x0 == lo, 1.0, -1.0)
     xB = np.empty(m)
     for i in range(m):
         v = basis[i]
@@ -199,9 +198,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
             xB[i] = resid[i] * slack_sign[i]
         else:
             xB[i] = abs(resid[i])
-        status[v] = _BASIC
-
-    nb_value = np.where(status[:N] == _HI, upb, lob)  # value of nonbasic vars
+        side[v] = 0.0
 
     def run(cost: np.ndarray, phase: int) -> None:
         """Bland pivoting until optimal/unbounded.
@@ -215,9 +212,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
         zrow = cost - cost[basis] @ T
         fresh = True
         for _ in range(PIVOT_LIMIT):
-            eligible = movable & (
-                ((status == _LO) & (zrow < -FEAS_TOL)) | ((status == _HI) & (zrow > FEAS_TOL))
-            )
+            eligible = movable & (side * zrow < -FEAS_TOL)
             if not eligible.any():
                 if fresh:
                     return
@@ -225,7 +220,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
                 fresh = True
                 continue
             enter = int(eligible.argmax())  # Bland: smallest eligible index
-            direction = 1.0 if status[enter] == _LO else -1.0
+            direction = side[enter]
             ci = direction * T[:, enter]
             # ratio test: a row blocks when its basic variable would hit a bound
             t = np.full(m, np.inf)
@@ -244,22 +239,19 @@ def solve(lp: LinearProgram) -> BasicOptimal:
                 limit <= t_rows + RATIO_TIE and enter < cand_vars.min()
             ):
                 xB[:] -= ci * limit
-                status[enter] = _HI if direction > 0 else _LO
-                nb_value[enter] = upb[enter] if direction > 0 else lob[enter]
+                side[enter] = -direction
                 continue
             leave_row = int(cand[cand_vars.argmin()])
             step = t_rows
             out_var = int(basis[leave_row])
-            out_status = _LO if ci[leave_row] > 0 else _HI
             xB[:] -= ci * step
-            enter_val = nb_value[enter] + direction * step
+            enter_val = (lob[enter] if direction > 0 else upb[enter]) + direction * step
             _pivot(T, leave_row, enter)
             zrow -= zrow[enter] * T[leave_row]
             fresh = False
             basis[leave_row] = enter
-            status[enter] = _BASIC
-            status[out_var] = out_status
-            nb_value[out_var] = lob[out_var] if out_status == _LO else upb[out_var]
+            side[enter] = 0.0
+            side[out_var] = 1.0 if ci[leave_row] > 0 else -1.0
             xB[leave_row] = enter_val
         raise LPError(
             f"pivot limit exceeded in phase {phase} on a {T.shape[0]}x{T.shape[1]} tableau"
@@ -272,15 +264,20 @@ def solve(lp: LinearProgram) -> BasicOptimal:
         cost1[n + n_slack :] = 1.0
         run(cost1, 1)
         art_basic = basis >= n + n_slack
-        if float(xB[art_basic].sum()) > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
-            raise InfeasibleLP("phase-1 optimum is positive")
+        residual = float(xB[art_basic].sum())
+        if residual > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
+            i = int(np.nonzero(art_basic & (xB > 0.0))[0][0])
+            raise InfeasibleLP(
+                f"phase-1 optimum is positive ({residual:.3g}): the artificial of row {i} "
+                f"({rels[i]}) stays basic at {float(xB[i]):.3g} on a {m}x{N} tableau"
+            )
         drop = []
         for i in range(m):
             if basis[i] < n + n_slack:
                 continue
             pivcol = -1
             for j in range(n + n_slack):
-                if status[j] != _BASIC and abs(T[i, j]) > PIVOT_TOL:
+                if side[j] != 0.0 and abs(T[i, j]) > PIVOT_TOL:
                     pivcol = j
                     break
             if pivcol < 0:
@@ -289,10 +286,9 @@ def solve(lp: LinearProgram) -> BasicOptimal:
             old = int(basis[i])
             _pivot(T, i, pivcol)
             basis[i] = pivcol
-            xB[i] = nb_value[pivcol]
-            status[pivcol] = _BASIC
-            status[old] = _LO
-            nb_value[old] = 0.0
+            xB[i] = lob[pivcol] if side[pivcol] > 0 else upb[pivcol]
+            side[pivcol] = 0.0
+            side[old] = 1.0
         if drop:
             redundant = _redundant_rows(T[drop, n + n_slack :], need_art, rels, drop)
             keep = np.array([i for i in range(m) if i not in set(drop)], dtype=np.int64)
@@ -301,8 +297,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
             basis = basis[keep]
             m = len(keep)
     T = T[:, : n + n_slack]
-    status = status[: n + n_slack]
-    nb_value = nb_value[: n + n_slack]
+    side = side[: n + n_slack]
     lob = lob[: n + n_slack]
     upb = upb[: n + n_slack]
     N = n + n_slack
@@ -312,7 +307,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
     cost2[:n] = lp.objective
     run(cost2, 2)
 
-    x = nb_value.copy()
+    x = np.where(side < 0, upb, lob)
     x[basis] = xB
     values = x[:n].copy()
 
@@ -341,15 +336,14 @@ def solve(lp: LinearProgram) -> BasicOptimal:
     cert: list[tuple[str, int]] = [
         ("row", i)
         for i in range(len(rels))
-        if i not in redundant and (i not in slack_of_row or status[slack_of_row[i]] != _BASIC)
+        if i not in redundant and (i not in slack_of_row or side[slack_of_row[i]] != 0.0)
     ]
-    for j in range(n):
-        if status[j] == _LO:
-            cert.append(("lo", j))
-        elif status[j] == _HI:
-            cert.append(("hi", j))
+    cert += [("lo" if s > 0 else "hi", j) for j, s in enumerate(side[:n].tolist()) if s]
     if len(cert) != n:
-        raise LPError(f"basis certificate has {len(cert)} conditions for {n} variables")
+        raise LPError(
+            f"basis certificate has {len(cert)} conditions for {n} variables on a {m}x{N} "
+            f"tableau ({len(rels) - m} of {len(rels)} rows dropped)"
+        )
 
     return BasicOptimal(
         values=values,

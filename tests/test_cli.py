@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from discmed import lpcore
 from discmed.cli import main
 from discmed.instance import dump, generate, to_json
 from discmed.stochastic import generate_stochastic, stochastic_to_json
@@ -180,6 +181,18 @@ class TestSolveVerify:
                 tiny_instance(), ("--cap1", "1", "--max-candidates", "9"),
                 "take no option --cap1/--cap2, --max-candidates\n", id="knapsack-flags",
             ),
+            pytest.param(
+                tiny_instance(knapsack=(1.0, 2.0)), ("--epsilon", "nan"),
+                "epsilon must be finite and positive, got nan", id="nan-epsilon",
+            ),
+            pytest.param(
+                tiny_instance(knapsack=(1.0, 2.0)), ("--epsilon", "inf"),
+                "epsilon must be finite and positive, got inf", id="inf-epsilon",
+            ),
+            pytest.param(
+                tiny_instance(knapsack=(1.0, 2.0)), ("--cap2", "-1"),
+                "caps must be nonnegative: cap2 = -1", id="negative-cap",
+            ),
         ],
     )
     def test_invariant_violation_exits_1(self, tmp_path, capsys, blob, flags, message):
@@ -187,6 +200,15 @@ class TestSolveVerify:
         bad.write_text(json.dumps(blob))  # NaN and Infinity tokens where given
         assert run_cli("solve", str(bad), *flags) == 1
         assert message in capsys.readouterr().err
+
+    def test_lp_failure_exits_1_in_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lpcore, "PIVOT_LIMIT", 0)
+        inst_path = tmp_path / "inst.json"
+        dump(generate(3, 4, kind="cardinality", seed=1), str(inst_path))
+        assert run_cli("solve", str(inst_path)) == 1
+        err = capsys.readouterr().err
+        assert "pivot limit exceeded in phase 1" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -33,12 +33,10 @@ def bare_state(h=2, levels=(), balls=(), tau=2.0):
         y=np.zeros(n_copies),
         weight=np.ones(n_copies),
         dist=np.zeros((n_copies, 0)),
-        clients=(),
         F=[],
     )
     state = RoundState(
-        bs=bs, dm=dm, tau=tau, h=h, cols=[], col={},
-        weights=np.zeros(0), discounts=np.zeros(0),
+        bs=bs, dm=dm, inst=None, h=h,
         gain=np.zeros((n_copies, 0)), levels_mat=np.zeros((n_copies, 0), dtype=np.int64),
         F={}, B={}, level={}, C0=set(), C1=set(), Cstar=set(),
     )
@@ -127,7 +125,6 @@ class TestIterRound:
             y=np.array([0.5, 0.5]),
             weight=np.ones(2),
             dist=np.array([[1.0], [3.0]]),
-            clients=("c00",),
             F=[{0, 1}],
         )
         dm = DiscretizedMetric(2.0, 0.0)  # levels 1, 2, 4: f00 at 0, f01 at 2

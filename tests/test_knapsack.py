@@ -318,7 +318,7 @@ class TestSolveExtended:
 
         bs = BallSystem(
             orig=["a", "b"], y=np.array([0.4, 0.6]), weight=np.array([3.0, 5.0]),
-            dist=np.zeros((2, 0)), clients=(), F=[],
+            dist=np.zeros((2, 0)), F=[],
         )
 
         class _St:

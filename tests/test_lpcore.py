@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discmed import generate, lpcore
+from discmed import generate, iterround, knapsack, lpcore
 from discmed.fractional import build_natural_lp
 from discmed.knapsack import ExtendedInstance
 from discmed.lpcore import InfeasibleLP, LinearProgram, LPError, solve
@@ -45,7 +45,11 @@ def test_infeasible_detected():
     lp = LinearProgram(1, lo=[0.0], hi=[10.0])
     lp.add_row([1.0], ">=", 2.0)
     lp.add_row([1.0], "<=", 1.0)
-    with pytest.raises(InfeasibleLP):
+    message = (
+        r"phase-1 optimum is positive \(1\): the artificial of row 0 \(>=\) stays basic at 1 "
+        r"on a 2x4 tableau"
+    )
+    with pytest.raises(InfeasibleLP, match=message):
         solve(lp)
 
 
@@ -116,6 +120,20 @@ def test_redundant_equalities_are_tolerated():
     lp.add_row([2.0, 2.0], "=", 4.0)  # same hyperplane
     res = solve(lp)
     assert res.objective_value == pytest.approx(0.0, abs=1e-9)
+
+
+def test_certificate_count_error_names_tableau_and_dropped_rows(monkeypatch):
+    # keeping the dropped row's equality in the certificate gives one condition too many
+    monkeypatch.setattr(lpcore, "_redundant_rows", lambda *args: set())
+    lp = LinearProgram(2, objective=[1.0, 0.0], lo=[0.0, 0.0], hi=[2.0, 2.0])
+    lp.add_row([1.0, 1.0], "=", 2.0)
+    lp.add_row([2.0, 2.0], "=", 4.0)
+    message = (
+        r"basis certificate has 3 conditions for 2 variables on a 1x2 tableau "
+        r"\(1 of 2 rows dropped\)"
+    )
+    with pytest.raises(LPError, match=message):
+        solve(lp)
 
 
 def test_fixed_variable_bounds():
@@ -266,3 +284,38 @@ def test_bound_audit_names_the_variable(monkeypatch):
     message = r"post-hoc bound check failed: x\[0\] = 0.25 outside \[0.25, 1.0\]"
     with pytest.raises(LPError, match=message):
         solve(lp)
+
+
+def _aux_lp_digest(monkeypatch, run) -> str:
+    """sha1 of the values and certificates of every auxiliary LP ``run`` solves."""
+    digest = hashlib.sha1()
+
+    def recording_solve(lp):
+        res = solve(lp)
+        digest.update(res.values.tobytes() + repr(res.basis_certificate).encode())
+        return res
+
+    monkeypatch.setattr(iterround, "solve", recording_solve)
+    run()
+    return digest.hexdigest()
+
+
+# the auxiliary LPs of these solves drop redundant rows after phase 1, drive
+# artificials out and flip bounds; digests recorded before the simplex kept
+# one signed bound-side array, so a change of its bookkeeping cannot move a vertex
+@pytest.mark.parametrize(
+    "run, digest",
+    [
+        (lambda: iterround.solve_kmeddis(generate(8, 20, kind="cardinality", seed=1), tau=1.91),
+         "1c62a7e09ca04b70a9eaf896c3a6ff9bc9d15623"),
+        (lambda: iterround.solve_matmeddis(generate(8, 20, kind="partition", seed=1), tau=2.36),
+         "6d515f519885665fc62c4c00927220b2feb41bf0"),
+        (lambda: knapsack.solve_knapmeddis(
+            generate(2, 2, kind="knapsack", discount_scale=0.4, seed=1),
+            tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25,
+        ), "486a990ae56d18cfc5b854c19d1fd4f97612bf91"),
+    ],
+    ids=["cardinality", "partition", "knapsack"],
+)
+def test_auxiliary_lp_vertices_are_pinned(monkeypatch, run, digest):
+    assert _aux_lp_digest(monkeypatch, run) == digest
