@@ -26,13 +26,7 @@ from .iterround import RoundingError
 from .knapsack import OptionError, SparsifyGuard, solve
 from .lpcore import LPError
 from .oracle import GuardExceeded, check_bicriteria
-from .stochastic import (
-    EXACT_OUTCOME_GUARD,
-    eval_expected_max,
-    realization_space_size,
-    solve_stochastic_center,
-    stochastic_from_json,
-)
+from .stochastic import eval_expected_max, solve_stochastic_center, stochastic_from_json
 
 
 def _load_json(path: str) -> dict:
@@ -155,14 +149,12 @@ def _cmd_stochastic(args) -> int:
         "epsilon": args.epsilon,
         "seed": args.seed,
     }
-    if rep.expected_max is None and realization_space_size(stoch) > EXACT_OUTCOME_GUARD:
+    if rep.expected_max is None:  # too many outcomes for the exact evaluation
         blob["expectedMax"] = eval_expected_max(
             stoch, solution, mode=("montecarlo", 100_000, args.seed)
         )
         blob["expectedMaxMode"] = "montecarlo"
-    certified = blob["expectedMax"] is None or blob["expectedMax"] <= (
-        (rep.alpha + rep.beta) * rep.t_star + 1e-6
-    )
+    certified = blob["expectedMax"] <= (rep.alpha + rep.beta) * rep.t_star + 1e-6
     blob["certificates"] = [
         {
             "name": "expected_max_le_alpha_beta_Tstar",

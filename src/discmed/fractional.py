@@ -101,7 +101,7 @@ def family_rows(inst: Instance, orig) -> list[tuple[dict, str, float]]:
             copies_of[f].append(v)
         return matroid_polytope_rows(con.spec, inst.facilities, copies_of)
     if isinstance(con, Knapsack):
-        return [({v: inst.weight_of(f) for v, f in enumerate(orig)}, "<=", float(con.budget))]
+        return [({v: float(con.weights[f]) for v, f in enumerate(orig)}, "<=", float(con.budget))]
     raise InstanceError(f"unknown constraint family {type(con).__name__}")
 
 
@@ -114,7 +114,7 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
         cols = list(range(len(inst.clients)))
         f0_pos: set[int] = set()
     else:
-        cols = sorted(inst.cli_pos[j] for j in extended.cprime)
+        cols = extended.cols
         f0_pos = {inst.fac_pos[f] for f in extended.f0}
 
     contrib = inst.contrib
@@ -220,13 +220,12 @@ class BallSystem:
     """Duplicated facility universe plus per-client outer balls.
 
     Copies are indexed densely; ``orig[c]`` is the original facility id of
-    copy c, copies inherit distances and knapsack weights. ``F[cj]`` is the
+    copy c, whose distances (and knapsack weight) it inherits. ``F[cj]`` is the
     outer ball (copy indices) of the client in column ``inst.clients[cj]``.
     """
 
     orig: list[str]
     y: np.ndarray
-    weight: np.ndarray
     dist: np.ndarray  # (n_copies, n_clients)
     F: list[set[int]]
 
@@ -265,7 +264,6 @@ def duplicate_facilities(sol: FractionalSolution, inst: Instance) -> BallSystem:
     x = _normalized_columns(sol.x, cols)
     orig: list[str] = []
     y: list[float] = []
-    weight: list[float] = []
     rows: list[int] = []
     F: list[set[int]] = [set() for _ in range(nc)]
     for fi in range(nf):
@@ -283,7 +281,6 @@ def duplicate_facilities(sol: FractionalSolution, inst: Instance) -> BallSystem:
         for v in cuts:
             orig.append(fid)
             y.append(v - prev)
-            weight.append(inst.weight_of(fid))
             rows.append(fi)
             prev = v
         for cj in range(nc):
@@ -293,13 +290,7 @@ def duplicate_facilities(sol: FractionalSolution, inst: Instance) -> BallSystem:
             t = min(range(len(cuts)), key=lambda k: abs(cuts[k] - v))
             F[cj].update(base + k for k in range(t + 1))
     dist = inst.dist_fc[rows, :]
-    bs = BallSystem(
-        orig=orig,
-        y=np.array(y),
-        weight=np.array(weight),
-        dist=dist,
-        F=F,
-    )
+    bs = BallSystem(orig=orig, y=np.array(y), dist=dist, F=F)
     for cj in cols:
         if abs(bs.ball_mass(cj) - 1.0) > 1e-9:
             raise InstanceError(f"outer ball of {inst.clients[cj]} has mass {bs.ball_mass(cj)}")
@@ -314,7 +305,7 @@ def duplicate_star_balanced(sol: FractionalSolution, inst: Instance, extended) -
     facility ends with star cost at most twice the per-facility cap.
     """
     nf, nc = sol.x.shape
-    cprime_cols = sorted(inst.cli_pos[j] for j in extended.cprime)
+    cprime_cols = extended.cols
     x = _normalized_columns(sol.x, [cj for cj in cprime_cols if sol.x[:, cj].sum() > SUPPORT_TOL])
     contrib = inst.contrib
 
@@ -386,7 +377,6 @@ def duplicate_star_balanced(sol: FractionalSolution, inst: Instance, extended) -
     bs = BallSystem(
         orig=[orig[c] for c in keep],
         y=np.array([y[c] for c in keep]),
-        weight=np.array([inst.weight_of(orig[c]) for c in keep]),
         dist=inst.dist_fc[[rows[c] for c in keep], :],
         F=[{remap[c] for c in ball} for ball in F],
     )
@@ -414,9 +404,10 @@ def _audit_star_balance(bs: BallSystem, inst: Instance, extended, lp_objective: 
         cj = inst.cli_pos[j]
         if abs(bs.ball_mass(cj) - 1.0) > 1e-9:
             raise InstanceError(f"outer ball of {j} has mass {bs.ball_mass(cj)}")
-    if isinstance(inst.constraint, Knapsack):
-        total = float(np.sum(bs.weight * bs.y))
-        if total > inst.constraint.budget + 1e-7:
+    con = inst.constraint
+    if isinstance(con, Knapsack):
+        total = float(np.sum(np.array([con.weights[f] for f in bs.orig]) * bs.y))
+        if total > con.budget + 1e-7:
             raise InstanceError("duplication broke the knapsack budget")
     for f in extended.f0:
         mass = float(sum(bs.y[c] for c in bs.copies_of(f)))
@@ -431,15 +422,8 @@ def _audit_star_balance(bs: BallSystem, inst: Instance, extended, lp_objective: 
         raise InstanceError("duplication increased the relaxation objective")
     stars = star_costs(bs, inst)
     cap = 2.0 * extended.rho * extended.est + 1e-6
-    f0_rows = [inst.fac_pos[f] for f in extended.f0]
-    if f0_rows:
-        d_f0 = inst.metric.submatrix(
-            [bs.orig[c] for c in range(bs.n_copies)], [inst.facilities[fi] for fi in f0_rows]
-        ).min(axis=1)
-    else:
-        d_f0 = np.full(bs.n_copies, np.inf)
-    for c in range(bs.n_copies):
-        if d_f0[c] <= 1e-12:
+    for c, f in enumerate(bs.orig):
+        if extended.near_f0[inst.fac_pos[f]]:
             continue  # co-located with a pre-selected facility
         if stars[c] > cap:
             raise InstanceError(

@@ -330,11 +330,6 @@ class Instance:
     def cli_pos(self) -> dict[str, int]:
         return {c: k for k, c in enumerate(self.clients)}
 
-    def weight_of(self, facility: str) -> float:
-        if isinstance(self.constraint, Knapsack):
-            return float(self.constraint.weights[facility])
-        return 1.0
-
 
 # ---------------------------------------------------------------------------
 # operations

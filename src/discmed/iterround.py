@@ -72,10 +72,14 @@ class RoundState:
     C0: set[str]
     C1: set[str]
     Cstar: set[str]
-    trace: list[dict] = field(default_factory=list)
-    objectives: list[float] = field(default_factory=list)
+    trace: list[dict] = field(default_factory=list)  # one record per iteration
     max_contribution_drift: float = 0.0
     cstar_violations: int = 0
+
+    def where(self) -> str:
+        """The rounding loop's position: iterations run and the last client acted on."""
+        last = next((t["client"] for t in reversed(self.trace) if t["client"]), None)
+        return f"rounding loop, iteration {len(self.trace)}, last client {last}"
 
     def dump(self) -> str:
         lines = [
@@ -225,7 +229,9 @@ def iter_round(
         state.level[v.vid] = -1
         state.B[v.vid] = set()
         if not update_cstar(state, v.vid):
-            raise RoundingError(f"virtual client {v.vid} blocked from the core set")
+            raise RoundingError(
+                f"{state.where()}: virtual client {v.vid} blocked from the core set"
+            )
 
     rows = family_rows(inst, bs.orig)
     max_level = max((state.level[k] for k in state.level), default=0)
@@ -236,51 +242,41 @@ def iter_round(
         res = solve(lp)
         y = res.values
         aux = res.objective_value + const
-        if state.objectives and aux > state.objectives[-1] + OBJ_TOL * max(1.0, abs(aux)):
-            raise RoundingError(
-                f"auxiliary objective increased: {state.objectives[-1]} -> {aux}"
-            )
-        state.objectives.append(aux)
+        last = state.trace[-1]["objective"] if state.trace else None
+        if last is not None and aux > last + OBJ_TOL * max(1.0, abs(aux)):
+            raise RoundingError(f"{state.where()}: auxiliary objective increased: {last} -> {aux}")
 
         if state.C0:
-            key = min(state.C0)
-            before = _contribution(state, key, y)
+            action, key = "move", min(state.C0)
+        else:
+            saturated = [
+                k
+                for k in state.C1
+                if state.B[k] and sum(y[c] for c in state.B[k]) >= 1.0 - SNAP_TOL
+            ]
+            if not saturated:
+                state.trace.append({"action": "stop", "client": "", "objective": aux})
+                break
+            action, key = "shrink", min(saturated)
+        before = _contribution(state, key, y)
+        if action == "move":
             state.C0.discard(key)
             state.C1.add(key)
-            state.B[key] = _inner_ball(state, key)
-            update_cstar(state, key)
-            after = _contribution(state, key, y)
-            state.max_contribution_drift = max(
-                state.max_contribution_drift, abs(after - before)
-            )
-            state.trace.append({"action": "move", "client": key, "objective": aux})
-            continue
-        shrinkable = sorted(
-            key
-            for key in state.C1
-            if state.B[key] and sum(y[c] for c in state.B[key]) >= 1.0 - SNAP_TOL
-        )
-        if shrinkable:
-            key = shrinkable[0]
-            before = _contribution(state, key, y)
+        else:
             state.level[key] -= 1
             state.F[key] = set(state.B[key])
-            state.B[key] = _inner_ball(state, key)
-            update_cstar(state, key)
-            after = _contribution(state, key, y)
-            state.max_contribution_drift = max(
-                state.max_contribution_drift, abs(after - before)
-            )
-            state.trace.append({"action": "shrink", "client": key, "objective": aux})
-            continue
-        state.trace.append({"action": "stop", "client": "", "objective": aux})
-        break
+        state.B[key] = _inner_ball(state, key)
+        update_cstar(state, key)
+        after = _contribution(state, key, y)
+        state.max_contribution_drift = max(state.max_contribution_drift, abs(after - before))
+        state.trace.append({"action": action, "client": key, "objective": aux})
     else:
-        raise RoundingError("iteration budget exhausted without convergence")
+        raise RoundingError(f"{state.where()}: iteration budget exhausted without convergence")
 
     if state.max_contribution_drift > OBJ_TOL:
         raise RoundingError(
-            f"client contribution drifted by {state.max_contribution_drift:.3g} on rebuild"
+            f"{state.where()}: client contribution drifted by "
+            f"{state.max_contribution_drift:.3g} on rebuild"
         )
     return y, state
 
@@ -293,8 +289,8 @@ def snap_integral(y: np.ndarray, state: RoundState) -> np.ndarray:
     frac = fractional_copies(y)
     if frac:
         raise IntegralityError(
-            f"integral output expected, got fractional coordinates {frac}: "
-            f"{[float(y[c]) for c in frac]}",
+            f"integral snap: copies {frac} of facilities {[state.bs.orig[c] for c in frac]} "
+            f"stay fractional: {[float(y[c]) for c in frac]}",
             state,
         )
     return np.rint(y)
@@ -386,7 +382,7 @@ def _pipeline(inst: Instance, tau: float, h: int) -> SolveReport:
     y_star = snap_integral(y_raw, state)
     solution = bs.open_set(y_star)
     if not solution:
-        raise RoundingError("rounding opened no facility")
+        raise RoundingError("pipeline output: rounding opened no facility")
 
     alpha, beta = bicriteria_factors(tau, h)
     certs: list[Certificate] = []
@@ -400,9 +396,8 @@ def _pipeline(inst: Instance, tau: float, h: int) -> SolveReport:
     final_levels = {key: state.level[key] for key in map(inst.clients.__getitem__, cols)}
     level_obj = float(sum(_level_head(state, inst.clients[cj]) for cj in cols))
     certs.append(Certificate.leq("final_level_objective_le_initial_aux", level_obj, initial_aux))
-    worst_step = max(
-        (b2 - a2 for a2, b2 in zip(state.objectives, state.objectives[1:])), default=0.0
-    )
+    objectives = [t["objective"] for t in state.trace]
+    worst_step = max((b2 - a2 for a2, b2 in zip(objectives, objectives[1:])), default=0.0)
     certs.append(Certificate.leq("aux_objective_nonincreasing", worst_step, 0.0, tol=OBJ_TOL))
     certs.append(
         Certificate.leq("contribution_preserved", state.max_contribution_drift, 0.0, tol=OBJ_TOL)
@@ -423,13 +418,15 @@ def _pipeline(inst: Instance, tau: float, h: int) -> SolveReport:
     if isinstance(inst.constraint, Matroid):
         spec = inst.constraint.spec
         if not spec.is_independent(solution):
-            raise RoundingError(f"output {solution} is not independent in the matroid")
+            raise RoundingError(f"pipeline output: {solution} is not independent in the matroid")
         certs.append(
             Certificate("independent_output", float(len(solution) - spec.rank(solution)), 0.0, True)
         )
     elif isinstance(inst.constraint, Cardinality):
         if len(solution) > inst.constraint.k:
-            raise RoundingError("output exceeds the cardinality bound")
+            raise RoundingError(
+                f"pipeline output: {solution} exceeds the cardinality bound {inst.constraint.k}"
+            )
 
     return SolveReport(
         tau=tau,

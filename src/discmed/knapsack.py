@@ -16,6 +16,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,19 @@ class ExtendedInstance:
     def __post_init__(self):
         self.f0 = tuple(sorted(self.f0))
         self.cprime = tuple(sorted(self.cprime))
+
+    @cached_property
+    def cols(self) -> list[int]:
+        """Client positions of C', sorted."""
+        return sorted(self.base.cli_pos[j] for j in self.cprime)
+
+    @cached_property
+    def near_f0(self) -> np.ndarray:
+        """Per facility position: within 1e-12 of some pre-selected facility."""
+        inst = self.base
+        if not self.f0:
+            return np.zeros(len(inst.facilities), dtype=bool)
+        return inst.metric.submatrix(inst.facilities, self.f0).min(axis=1) <= 1e-12
 
     def radius_cap(self, client: str) -> float:
         if client not in self.rj:
@@ -248,8 +262,13 @@ class KnapCandidate:
     meets_own_est_bound: bool = False
 
 
-def _resolve_fractional(y: np.ndarray, bs, state) -> tuple[np.ndarray, int, int | None]:
-    """Round the at most two fractional coordinates; returns (y*, t, closed copy)."""
+def _resolve_fractional(
+    y: np.ndarray, bs, weights: dict[str, float], state
+) -> tuple[np.ndarray, int, int | None]:
+    """Round the at most two fractional coordinates; returns (y*, t, closed copy).
+
+    Of two fractional copies the lighter one (by facility ``weights``) opens.
+    """
     frac = fractional_copies(y)
     t = len(frac)
     if t > 2:
@@ -267,7 +286,7 @@ def _resolve_fractional(y: np.ndarray, bs, state) -> tuple[np.ndarray, int, int 
             raise RoundingError(
                 f"two fractional coordinates with mass {y[a] + y[b]} != 1\n" + state.dump()
             )
-        wa, wb = float(bs.weight[a]), float(bs.weight[b])
+        wa, wb = float(weights[bs.orig[a]]), float(weights[bs.orig[b]])
         opened, closed = (a, b) if (wa, a) <= (wb, b) else (b, a)
         y_star[opened] = 1.0
         y_star[closed] = 0.0
@@ -278,8 +297,9 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
     """Run the strengthened pipeline on one extended instance.
 
     Returns None when the relaxation is infeasible (the instance is then not
-    the sparse one). Raises RoundingError if more than two coordinates stay
-    fractional, which the basis structure rules out.
+    the sparse one). Raises RoundingError, naming the task's F0 and EST, if
+    more than two coordinates stay fractional, which the basis structure rules
+    out, or if the rounded set breaks the pre-selection or the budget.
     """
     inst = ext.base
     con = inst.constraint
@@ -296,43 +316,37 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
 
     certs: list[Certificate] = []
     bs = duplicate_star_balanced(frac_sol, inst, ext)
-    cols = sorted(inst.cli_pos[j] for j in ext.cprime)
-    c_arr, r_arr, m_arr = offset_support(bs, inst, cols)
+    c_arr, r_arr, m_arr = offset_support(bs, inst, ext.cols)
     b, initial_aux = choose_offset(c_arr, r_arr, m_arr, tau)
     dm = DiscretizedMetric(tau, b)
     virtuals = [
         VirtualClient(vid=f"~{f}", copies=frozenset(bs.copies_of(f))) for f in ext.f0
     ]
-    y_raw, state = iter_round(bs, inst, dm, h=1, cols=cols, virtuals=virtuals)
-    y_star, t, closed = _resolve_fractional(y_raw, bs, state)
-    solution = bs.open_set(y_star)
-    if not solution:
-        return None
-    if not set(ext.f0) <= set(solution):
-        raise RoundingError(f"pre-selected facilities lost: {ext.f0} vs {solution}")
-    total_w = sum(con.weights[f] for f in solution)
-    if total_w > con.budget + 1e-7:
-        raise RoundingError(f"solution weight {total_w} exceeds the budget {con.budget}")
+    try:
+        y_raw, state = iter_round(bs, inst, dm, h=1, cols=ext.cols, virtuals=virtuals)
+        y_star, t, closed = _resolve_fractional(y_raw, bs, con.weights, state)
+        solution = bs.open_set(y_star)
+        if not solution:
+            return None
+        if not set(ext.f0) <= set(solution):
+            raise RoundingError(f"pre-selected facilities lost from {solution}")
+        total_w = sum(con.weights[f] for f in solution)
+        if total_w > con.budget + 1e-7:
+            raise RoundingError(f"solution weight {total_w} exceeds the budget {con.budget}")
+    except RoundingError as exc:
+        raise RoundingError(f"knapsack task F0={list(ext.f0)} EST={ext.est!r}: {exc}") from exc
 
     alpha = knapsack_alpha(tau, ext.delta)
     cost = discounted_cost(inst, solution, alpha)
     certs.append(Certificate("fractional_residual", float(t), 2.0, t <= 2))
     certs.append(Certificate.leq("solution_weight_le_budget", total_w, con.budget, tol=1e-7))
+    far = ~ext.near_f0[[inst.fac_pos[f] for f in bs.orig]]  # copies away from F0
     if ext.cprime:
-        stars = star_costs(bs, inst)
-        far = [
-            c
-            for c in range(bs.n_copies)
-            if all(inst.metric.d(bs.orig[c], f) > 1e-12 for f in ext.f0)
-        ]
-        worst = max((float(stars[c]) for c in far), default=0.0)
+        worst = max((float(s) for s in star_costs(bs, inst)[far]), default=0.0)
         certs.append(
             Certificate.leq("star_cost_le_2rhoEST", worst, 2.0 * ext.rho * ext.est)
         )
-    closed_colocated_f0 = closed is not None and any(
-        inst.metric.d(bs.orig[closed], f) <= 1e-12 for f in ext.f0
-    )
-    if closed is not None and not closed_colocated_f0:
+    if closed is not None and far[closed]:
         # a closed copy co-located with a pre-selected facility reroutes at
         # distance zero; the star-cost cap (and hence these sums) only covers
         # copies away from the pre-selected set
@@ -510,18 +524,17 @@ def solve_knapmeddis(
         )
         candidates.append(cand)
     if not candidates:
-        raise RoundingError("no feasible extended instance produced a candidate")
+        raise RoundingError(
+            f"knapsack selection: none of the {len(tasks)} extended instances "
+            "produced a candidate"
+        )
     best = min(candidates, key=lambda c: (c.true_discounted_cost, c.solution))
 
     alpha = knapsack_alpha(tau, delta)
     certs = list(best.certificates)
+    witnessed = any(c.meets_own_est_bound for c in candidates)
     certs.append(
-        Certificate(
-            "exists_candidate_within_est_bound",
-            0.0 if any(c.meets_own_est_bound for c in candidates) else 1.0,
-            0.0,
-            any(c.meets_own_est_bound for c in candidates),
-        )
+        Certificate("exists_candidate_within_est_bound", 0.0 if witnessed else 1.0, 0.0, witnessed)
     )
     below_theoretical = cap1 < theo1 or cap2 < theo2
 

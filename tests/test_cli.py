@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from discmed import lpcore
+from discmed import lpcore, stochastic
 from discmed.cli import main
 from discmed.instance import dump, generate, to_json
 from discmed.stochastic import generate_stochastic, stochastic_to_json
@@ -270,3 +270,20 @@ class TestStochasticCommand:
         assert rep["guaranteeConstant"] == pytest.approx(
             3 * 1.4 * (rep["alpha"] + rep["beta"])
         )
+
+    def test_guarded_exact_evaluation_falls_back_to_montecarlo(self, tmp_path, monkeypatch):
+        # the solver alone decides exact vs Monte-Carlo; the CLI follows its report
+        monkeypatch.setattr(stochastic, "EXACT_OUTCOME_GUARD", 0)
+        st = generate_stochastic(4, 3, kind="cardinality", seed=2)
+        inst_path = tmp_path / "st.json"
+        rep_path = tmp_path / "rep.json"
+        inst_path.write_text(json.dumps(stochastic_to_json(st)))
+        code = run_cli(
+            "stochastic", str(inst_path), "--tau", "1.91",
+            "--epsilon", "0.2", "--out", str(rep_path),
+        )
+        rep = strict_json(rep_path)
+        assert rep["expectedMaxMode"] == "montecarlo"
+        cert = rep["certificates"][0]
+        assert isinstance(cert["lhs"], float) and cert["lhs"] == rep["expectedMax"]
+        assert cert["holds"] and code == 0

@@ -12,7 +12,10 @@ from discmed import instance as I
 from discmed.discretize import DiscretizedMetric
 from discmed.fractional import BallSystem, duplicate_facilities, make_distance_optimal, solve_natural
 from discmed.instance import generate
+from discmed import iterround
 from discmed.iterround import (
+    IntegralityError,
+    RoundingError,
     RoundState,
     bicriteria_factors,
     iter_round,
@@ -31,7 +34,6 @@ def bare_state(h=2, levels=(), balls=(), tau=2.0):
     bs = BallSystem(
         orig=[f"f{c:02d}" for c in range(n_copies)],
         y=np.zeros(n_copies),
-        weight=np.ones(n_copies),
         dist=np.zeros((n_copies, 0)),
         F=[],
     )
@@ -123,7 +125,6 @@ class TestIterRound:
         bs = BallSystem(
             orig=["f00", "f01"],
             y=np.array([0.5, 0.5]),
-            weight=np.ones(2),
             dist=np.array([[1.0], [3.0]]),
             F=[{0, 1}],
         )
@@ -149,6 +150,25 @@ class TestIterRound:
             rep = solve_kmeddis(inst, tau=1.91)  # snap_integral raises otherwise
             assert len(rep.solution) <= inst.constraint.k
             assert rep.all_hold
+
+
+    def test_loop_error_names_iteration_and_client(self, monkeypatch):
+        inst = generate(3, 4, seed=2)
+        bs = duplicate_facilities(make_distance_optimal(solve_natural(inst), inst), inst)
+        calls = iter(range(1000))  # every before/after pair differs by one
+        monkeypatch.setattr(iterround, "_contribution", lambda state, key, y: next(calls))
+        with pytest.raises(
+            RoundingError,
+            match=r"rounding loop, iteration \d+, last client c0\d: client contribution drifted",
+        ):
+            iter_round(bs, inst, DiscretizedMetric(1.91, 0.0), h=2)
+
+    def test_integral_snap_names_the_facility(self):
+        st = bare_state(levels=[0], balls=[{0, 1}])
+        with pytest.raises(
+            IntegralityError, match=r"integral snap: copies \[1\] of facilities \['f01'\]"
+        ):
+            snap_integral(np.array([1.0, 0.5]), st)
 
 
 class TestDistanceBound:

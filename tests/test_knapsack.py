@@ -1,11 +1,15 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from discmed import instance as I
+from discmed import knapsack
 from discmed.fractional import duplicate_star_balanced, solve_natural, star_costs
 from discmed.instance import Knapsack, discounted_cost, generate
+from discmed.iterround import RoundingError
 from discmed.knapsack import (
     ExtendedInstance,
     SparsifyGuard,
@@ -317,18 +321,36 @@ class TestSolveExtended:
         from discmed.fractional import BallSystem
 
         bs = BallSystem(
-            orig=["a", "b"], y=np.array([0.4, 0.6]), weight=np.array([3.0, 5.0]),
-            dist=np.zeros((2, 0)), F=[],
+            orig=["a", "b"], y=np.array([0.4, 0.6]), dist=np.zeros((2, 0)), F=[],
         )
 
         class _St:
             def dump(self):
                 return ""
 
-        y_star, t, closed = _resolve_fractional(np.array([0.4, 0.6]), bs, _St())
+        weights = {"a": 3.0, "b": 5.0}
+        y_star, t, closed = _resolve_fractional(np.array([0.4, 0.6]), bs, weights, _St())
         assert t == 2
         assert list(y_star) == [1.0, 0.0]  # weight 3 opens, weight 5 closes
         assert closed == 1
+
+    def test_task_facts(self):
+        inst = knap_instance(seed=3, nf=3, nc=4)
+        ext = plain_extended(inst, est=1.0, removed=(inst.clients[1],))
+        assert ext.cols == [0, 2, 3]
+        assert not ext.near_f0.any()
+        ext = plain_extended(inst, est=1.0, f0=(inst.facilities[2],))
+        assert list(ext.near_f0) == [False, False, True]
+
+    def test_task_error_names_f0_and_est(self, monkeypatch):
+        inst = knap_instance(seed=1, nf=3, nc=4)
+        ext = plain_extended(inst, est=50.0, f0=(inst.facilities[0],))
+        monkeypatch.setattr(knapsack, "fractional_copies", lambda y: [0, 1, 2])
+        with pytest.raises(
+            RoundingError,
+            match=r"knapsack task F0=\['f00'\] EST=50\.0: 3 fractional coordinates",
+        ):
+            solve_extended(ext, tau=1.9)
 
     def test_empty_surviving_set_returns_the_preselection(self):
         inst = knap_instance(seed=13, nf=3, nc=4)
@@ -416,6 +438,36 @@ class TestSolveKnapMedDis:
         rep = solve_knapmeddis(inst, tau=1.9, rho=0.5, epsilon=0.5)
         assert rep.objective == 0.0
 
+    def test_every_candidate_certificate_holds_and_is_pinned(self, monkeypatch):
+        # the report keeps only the winner's certificates; record every
+        # candidate's, losers included, through the task solver
+        certs = []
+
+        def recording(ext, tau):
+            cand = solve_extended(ext, tau)
+            if cand is not None:
+                certs.extend(cand.certificates)
+            return cand
+
+        monkeypatch.setattr(knapsack, "solve_extended", recording)
+        for nf, nc, seed in ((2, 3, 3), (3, 4, 1)):
+            inst = knap_instance(seed=seed, nf=nf, nc=nc)
+            solve_knapmeddis(inst, tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25)
+        assert [c for c in certs if not c.holds] == []
+        names = {c.name.split("[")[0] for c in certs}
+        assert {"reroute_J1", "reroute_J1_total", "star_cost_le_2rhoEST"} <= names
+        rows = [(c.name, float(c.lhs).hex(), float(c.rhs).hex(), c.holds) for c in certs]
+        assert len(rows) == 1303
+        digest = hashlib.sha1(json.dumps(rows).encode()).hexdigest()
+        assert digest == "0f67615ad843516c75716a48a322d7d7665775c2"
+
+    def test_no_candidate_names_the_task_count(self, monkeypatch):
+        monkeypatch.setattr(knapsack, "solve_extended", lambda ext, tau: None)
+        with pytest.raises(
+            RoundingError, match=r"knapsack selection: none of the \d+ extended instances"
+        ):
+            solve_knapmeddis(knap_instance(seed=1, nf=2, nc=3), tau=1.9, rho=0.5, epsilon=0.5)
+
     def test_alpha_formula_at_19(self):
         assert knapsack_alpha(1.9) == pytest.approx(3 * 1.9 * (3 * 1.9 - 1) / 0.9 + 2)
         assert knapsack_alpha(1.9) == pytest.approx(31.767, abs=1e-3)
@@ -440,8 +492,8 @@ class TestSolveKnapMedDis:
         inst = knap_instance(seed=11, nf=3, nc=3, scale=0.3)
         seq = solve_knapmeddis(inst, tau=1.9, rho=0.5, epsilon=0.5)
         par = solve_knapmeddis(inst, tau=1.9, rho=0.5, epsilon=0.5, jobs=2)
-        assert seq.solution == par.solution
-        assert seq.objective == pytest.approx(par.objective)
+        # the pool pickles each ExtendedInstance; workers fill its cached C' and F0 facts
+        assert seq.to_json() == par.to_json()
 
     @pytest.mark.parametrize(
         "seed, evaluated, best_f0, ests",
