@@ -228,6 +228,7 @@ class BallSystem:
     y: np.ndarray
     dist: np.ndarray  # (n_copies, n_clients)
     F: list[set[int]]
+    star: np.ndarray | None = None  # per-copy star costs, set by duplicate_star_balanced
 
     @property
     def n_copies(self) -> int:
@@ -380,7 +381,7 @@ def duplicate_star_balanced(sol: FractionalSolution, inst: Instance, extended) -
         dist=inst.dist_fc[[rows[c] for c in keep], :],
         F=[{remap[c] for c in ball} for ball in F],
     )
-    _audit_star_balance(bs, inst, extended, sol.objective_value)
+    bs.star = _audit_star_balance(bs, inst, extended, sol.objective_value)
     return bs
 
 
@@ -389,9 +390,14 @@ def _copy_contrib(bs: BallSystem, inst: Instance) -> np.ndarray:
     return inst.contrib[[inst.fac_pos[f] for f in bs.orig], :]
 
 
-def star_costs(bs: BallSystem, inst: Instance) -> np.ndarray:
-    """Recompute per-copy star costs from the final outer balls."""
-    contrib = _copy_contrib(bs, inst)
+def star_costs(bs: BallSystem, inst: Instance, contrib: np.ndarray | None = None) -> np.ndarray:
+    """Recompute per-copy star costs from the final outer balls.
+
+    ``contrib`` holds the copies' rows of ``inst.contrib`` when the caller
+    has them already.
+    """
+    if contrib is None:
+        contrib = _copy_contrib(bs, inst)
     out = np.zeros(bs.n_copies)
     for cj, ball in enumerate(bs.F):
         for c in ball:
@@ -399,7 +405,10 @@ def star_costs(bs: BallSystem, inst: Instance) -> np.ndarray:
     return out
 
 
-def _audit_star_balance(bs: BallSystem, inst: Instance, extended, lp_objective: float) -> None:
+def _audit_star_balance(
+    bs: BallSystem, inst: Instance, extended, lp_objective: float
+) -> np.ndarray:
+    """Check the star-balanced split; returns the per-copy star costs it checked."""
     for j in extended.cprime:
         cj = inst.cli_pos[j]
         if abs(bs.ball_mass(cj) - 1.0) > 1e-9:
@@ -420,7 +429,7 @@ def _audit_star_balance(bs: BallSystem, inst: Instance, extended, lp_objective: 
         obj += float(sum(bs.y[c] * contrib[c, cj] for c in bs.F[cj]))
     if obj > lp_objective + 1e-6 * max(1.0, abs(lp_objective)):
         raise InstanceError("duplication increased the relaxation objective")
-    stars = star_costs(bs, inst)
+    stars = star_costs(bs, inst, contrib)
     cap = 2.0 * extended.rho * extended.est + 1e-6
     for c, f in enumerate(bs.orig):
         if extended.near_f0[inst.fac_pos[f]]:
@@ -429,3 +438,4 @@ def _audit_star_balance(bs: BallSystem, inst: Instance, extended, lp_objective: 
             raise InstanceError(
                 f"copy of {bs.orig[c]} has star cost {stars[c]:.6g} above the 2*rho*EST cap"
             )
+    return stars

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .discretize import DiscretizedMetric, choose_offset
-from .fractional import duplicate_star_balanced, solve_natural, star_costs
+from .fractional import duplicate_star_balanced, solve_natural
 from .instance import (
     Cardinality,
     Instance,
@@ -342,7 +342,7 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
     certs.append(Certificate.leq("solution_weight_le_budget", total_w, con.budget, tol=1e-7))
     far = ~ext.near_f0[[inst.fac_pos[f] for f in bs.orig]]  # copies away from F0
     if ext.cprime:
-        worst = max((float(s) for s in star_costs(bs, inst)[far]), default=0.0)
+        worst = max((float(s) for s in bs.star[far]), default=0.0)
         certs.append(
             Certificate.leq("star_cost_le_2rhoEST", worst, 2.0 * ext.rho * ext.est)
         )
@@ -446,6 +446,68 @@ def _saturation_threshold(inst: Instance, cprime: tuple[str, ...], delta: float)
     return thr
 
 
+def _task_table(
+    inst: Instance,
+    rho: float,
+    delta: float,
+    epsilon: float,
+    caps: tuple[int, int],
+    max_candidates: int,
+) -> tuple[list[ExtendedInstance], list[list[float]], list[list[int]]]:
+    """The extended-instance tasks of a normalized knapsack instance.
+
+    Returns ``(tasks, ests, chains)``. ``tasks`` is in table order, which
+    breaks ties among equal-cost candidates; ``ests[k]`` lists the grid
+    estimates task k stands for. Each chain holds the task indices of one
+    (F0, C') pair in descending EST.
+    """
+    ub = _upper_bound_cost(inst)
+    kept_ests = dict.fromkeys(  # distinct, in first-seen order
+        est
+        for c0, est in enumerate_estimates(inst, epsilon)
+        if c0 <= ub + 1e-9 and est <= (1.0 + epsilon) * ub + 1e-9
+    )
+    structures = sparsify_structures(inst, rho, delta, caps, max_candidates)
+
+    # one task per (F0, C', EST) class: above the saturation threshold the LP
+    # is EST-independent, so all saturated estimates share one task (key
+    # None) solved at the lowest of them; insertion order is the task order
+    thresholds = {cp: _saturation_threshold(inst, cp, delta) for _, cp in structures}
+    table: dict[tuple, list[float]] = {}
+    for est in kept_ests:
+        for f0, cprime in structures:
+            saturated = rho * est >= thresholds[cprime] - 1e-12
+            table.setdefault((f0, cprime, None if saturated else est), []).append(est)
+    rj_caches: dict[tuple, dict[str, float]] = {}
+    tasks = []
+    groups: dict[tuple, list[int]] = {}
+    for k, ((f0, cprime, _), task_ests) in enumerate(table.items()):
+        est = min(task_ests)
+        rj = rj_caches.setdefault((cprime, est), {})
+        tasks.append(ExtendedInstance(inst, f0, cprime, rho, delta, est, rj))
+        groups.setdefault((f0, cprime), []).append(k)
+    chains = [sorted(g, key=lambda k: tasks[k].est, reverse=True) for g in groups.values()]
+    return tasks, list(table.values()), chains
+
+
+def _solve_chain(chain: list[ExtendedInstance], tau: float) -> list[KnapCandidate | None]:
+    """Solve one (F0, C') chain in descending EST, up to its first None.
+
+    For a fixed (F0, C') the strengthened relaxation only loosens as EST
+    grows: the radius caps, the single-pair cap at rho*EST and the -rho*EST
+    term of each star row all relax. So once a task's relaxation is
+    infeasible, so is every lower estimate's. The other causes of None, an
+    over-budget F0 and an empty task, do not depend on EST at all; the last,
+    an empty rounded set, arose in no solve measured.
+    """
+    out: list[KnapCandidate | None] = []
+    for ext in chain:
+        out.append(solve_extended(ext, tau))
+        if out[-1] is None:
+            break
+    return out
+
+
 def solve_knapmeddis(
     inst: Instance,
     tau: float = 1.9,
@@ -460,8 +522,10 @@ def solve_knapmeddis(
 
     Candidates are the product of the estimate grid and the (F0, C')
     enumeration; estimate pairs provably above a feasible solution's cost are
-    skipped, which cannot exclude the certified witness pair. A missing entry
-    of ``caps`` takes its theoretical value.
+    skipped, which cannot exclude the certified witness pair. Each (F0, C')
+    chain is solved from its largest estimate down and stops at its first
+    infeasible task; ``extras["skipped"]`` counts the tasks it settled
+    without a solve. A missing entry of ``caps`` takes its theoretical value.
     """
     if not isinstance(inst.constraint, Knapsack):
         raise InstanceError("solve_knapmeddis needs a knapsack constraint")
@@ -480,47 +544,31 @@ def solve_knapmeddis(
     if problems:
         raise InstanceError("invalid instance: " + "; ".join(problems))
 
-    ub = _upper_bound_cost(inst)
-    kept_ests = dict.fromkeys(  # distinct, in first-seen order
-        est
-        for c0, est in enumerate_estimates(inst, epsilon)
-        if c0 <= ub + 1e-9 and est <= (1.0 + epsilon) * ub + 1e-9
-    )
     theo1, theo2 = theoretical_caps(rho, delta)
     cap1, cap2 = caps or (None, None)
     cap1, cap2 = theo1 if cap1 is None else cap1, theo2 if cap2 is None else cap2
-    structures = sparsify_structures(inst, rho, delta, (cap1, cap2), max_candidates)
+    tasks, ests, chains = _task_table(inst, rho, delta, epsilon, (cap1, cap2), max_candidates)
 
-    # one task per (F0, C', EST) class: above the saturation threshold the LP
-    # is EST-independent, so all saturated estimates share one task (key
-    # None) solved at the lowest of them; insertion order is the task order
-    thresholds = {cp: _saturation_threshold(inst, cp, delta) for _, cp in structures}
-    table: dict[tuple, list[float]] = {}
-    for est in kept_ests:
-        for f0, cprime in structures:
-            saturated = rho * est >= thresholds[cprime] - 1e-12
-            table.setdefault((f0, cprime, None if saturated else est), []).append(est)
-    rj_caches: dict[tuple, dict[str, float]] = {}
-    tasks = []
-    for (f0, cprime, _), ests in table.items():
-        est = min(ests)
-        rj = rj_caches.setdefault((cprime, est), {})
-        tasks.append(ExtendedInstance(inst, f0, cprime, rho, delta, est, rj))
-
+    work = [[tasks[k] for k in chain] for chain in chains]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_extended, tasks, itertools.repeat(tau), chunksize=16))
+            solved = list(pool.map(_solve_chain, work, itertools.repeat(tau), chunksize=4))
     else:
-        results = [solve_extended(e, tau) for e in tasks]
+        solved = [_solve_chain(chain, tau) for chain in work]
+    results: list[KnapCandidate | None] = [None] * len(tasks)
+    for chain, chain_results in zip(chains, solved):
+        for k, cand in zip(chain, chain_results):
+            results[k] = cand
+    skipped = len(tasks) - sum(map(len, solved))
 
     coef = knapsack_est_coefficient(tau, rho, delta)
     candidates = []
-    for cand, ests in zip(results, table.values()):
+    for cand, task_ests in zip(results, ests):
         if cand is None:
             continue
         cand.meets_own_est_bound = any(
             cand.true_discounted_cost <= coef * e + 1e-6 * max(1.0, coef * e)
-            for e in ests
+            for e in task_ests
         )
         candidates.append(cand)
     if not candidates:
@@ -576,6 +624,7 @@ def solve_knapmeddis(
             "scale": inst.scale,
             "evaluated": len(tasks),
             "feasible": len(candidates),
+            "skipped": skipped,
         },
     )
 

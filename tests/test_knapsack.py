@@ -456,10 +456,55 @@ class TestSolveKnapMedDis:
         assert [c for c in certs if not c.holds] == []
         names = {c.name.split("[")[0] for c in certs}
         assert {"reroute_J1", "reroute_J1_total", "star_cost_le_2rhoEST"} <= names
-        rows = [(c.name, float(c.lhs).hex(), float(c.rhs).hex(), c.holds) for c in certs]
+        # sorted, so the digest pins the set of certificates, not the solve order
+        rows = sorted((c.name, float(c.lhs).hex(), float(c.rhs).hex(), c.holds) for c in certs)
         assert len(rows) == 1303
         digest = hashlib.sha1(json.dumps(rows).encode()).hexdigest()
-        assert digest == "0f67615ad843516c75716a48a322d7d7665775c2"
+        assert digest == "86bc8cf20e355566631cb2040aec9f7d29d7f38b"
+
+    @pytest.mark.parametrize("nf, nc, seed", [(2, 3, 3), (3, 4, 1)])
+    def test_chain_stop_is_exact(self, monkeypatch, nf, nc, seed):
+        # every task a chain settles without a solve is one that solves to
+        # None, so the report is the one a solve of every task would give
+        tau, rho, delta, eps = 1.9, 0.5, 2 / 3, 0.25
+        inst = knap_instance(seed=seed, nf=nf, nc=nc)
+        solved = set()
+
+        def recording(ext, tau):
+            solved.add((ext.f0, ext.cprime, ext.est))
+            return solve_extended(ext, tau)
+
+        monkeypatch.setattr(knapsack, "solve_extended", recording)
+        rep = solve_knapmeddis(inst, tau=tau, rho=rho, delta=delta, epsilon=eps)
+        norm = I.normalize(inst)
+        tasks, ests, _ = knapsack._task_table(
+            norm, rho, delta, eps, knapsack.theoretical_caps(rho, delta),
+            knapsack.DEFAULT_MAX_CANDIDATES,
+        )
+        coef = knapsack_est_coefficient(tau, rho, delta)
+        summaries = []
+        for ext, task_ests in zip(tasks, ests):
+            cand = solve_extended(ext, tau)
+            if (ext.f0, ext.cprime, ext.est) not in solved:
+                assert cand is None, (ext.f0, ext.cprime, ext.est)
+            if cand is not None:
+                cost = cand.true_discounted_cost
+                summaries.append({
+                    "f0": list(ext.f0),
+                    "removed": len(norm.clients) - len(ext.cprime),
+                    "est": ext.est,
+                    "cost": cost,
+                    "t": cand.fractional_residual,
+                    "lpObjective": cand.lp_objective,
+                    "withinEstBound": any(
+                        cost <= coef * e + 1e-6 * max(1.0, coef * e) for e in task_ests
+                    ),
+                })
+        assert rep.extras["candidates"] == summaries
+        assert rep.extras["feasible"] == len(summaries)
+        assert rep.extras["evaluated"] == len(tasks)
+        assert rep.extras["skipped"] == len(tasks) - len(solved) > 0
+        assert rep.extras["feasible"] + rep.extras["skipped"] <= rep.extras["evaluated"]
 
     def test_no_candidate_names_the_task_count(self, monkeypatch):
         monkeypatch.setattr(knapsack, "solve_extended", lambda ext, tau: None)
