@@ -5,8 +5,8 @@ enumerates extended instances (pre-selected facilities F0 plus pruned
 clients) against a geometric grid of objective estimates, strengthens the
 relaxation with distance caps and per-facility star-cost caps, rounds with
 virtual clients pinning F0 open, and resolves the at most two fractional
-coordinates a vertex can carry. Enumeration-heavy by design: expect tens of
-seconds even at toy sizes.
+coordinates a vertex can carry. Enumeration-heavy by design: this 3x5
+instance has 9,615 tasks and takes 5-7 s on a 2-core x86 VM.
 """
 
 import time

@@ -15,12 +15,11 @@ from . import __version__
 from .instance import (
     Instance,
     InstanceError,
+    checked,
     dump,
     from_json,
     generate,
-    normalize,
     to_json,
-    validate,
 )
 from .iterround import RoundingError
 from .knapsack import OptionError, SparsifyGuard, solve
@@ -41,9 +40,7 @@ def _load_json(path: str) -> dict:
 
 def _load_instance(path: str) -> Instance:
     inst = from_json(_load_json(path))
-    problems = validate(normalize(inst))  # scale is repairable, so check after
-    if problems:
-        raise InstanceError("invalid instance: " + "; ".join(problems))
+    checked(inst)  # reports stay in the file's units, so the original is returned
     return inst
 
 

@@ -59,10 +59,12 @@ class DiscretizedMetric:
             out[pos] = np.maximum(0, lev.astype(np.int64))
         return out
 
+    def level_values(self, lev: np.ndarray) -> np.ndarray:
+        """D_level elementwise for levels from ``levels_array`` (-1 maps to 0)."""
+        return np.where(lev < 0, 0.0, self.tau ** (lev + self.b))
+
     def round_up_array(self, c: np.ndarray) -> np.ndarray:
-        lev = self.levels_array(c)
-        vals = np.where(lev < 0, 0.0, self.tau ** (lev + self.b))
-        return vals
+        return self.level_values(self.levels_array(c))
 
 
 def discretization_ratio(tau: float) -> float:

@@ -39,8 +39,8 @@ class FractionalSolution:
 @dataclass
 class NaturalLP:
     lp: LinearProgram  # variable fi is the opening of facility position fi
-    x_index: dict[tuple[int, int], int]  # (facility pos, client pos) -> variable
-    eliminated: set[tuple[int, int]]  # pairs pinned to zero and left out
+    # (facility pos, client pos) -> variable; pairs capped out have none
+    x_index: dict[tuple[int, int], int]
 
 
 def matroid_polytope_rows(spec, fac_ids, copies_of) -> list[tuple[dict, str, float]]:
@@ -52,18 +52,15 @@ def matroid_polytope_rows(spec, fac_ids, copies_of) -> list[tuple[dict, str, flo
     rows cover every independent subset, so only dependent subsets need rows.
     """
     rows: list[tuple[dict, str, float]] = []
-    if isinstance(spec, UniformMatroid):
+    if isinstance(spec, (UniformMatroid, PartitionMatroid)):
         for f in fac_ids:
             if len(copies_of[f]) > 1:
                 rows.append(({v: 1.0 for v in copies_of[f]}, "<=", 1.0))
-        all_vars = {v: 1.0 for f in fac_ids for v in copies_of[f]}
-        rows.append((all_vars, "<=", float(spec.rank_bound)))
-        return rows
-    if isinstance(spec, PartitionMatroid):
-        for f in fac_ids:
-            if len(copies_of[f]) > 1:
-                rows.append(({v: 1.0 for v in copies_of[f]}, "<=", 1.0))
-        for part, cap in zip(spec.parts, spec.caps):
+        if isinstance(spec, UniformMatroid):  # one part holding every facility
+            parts = [(fac_ids, spec.rank_bound)]
+        else:
+            parts = zip(spec.parts, spec.caps)
+        for part, cap in parts:
             coeffs = {v: 1.0 for f in part for v in copies_of[f]}
             if coeffs:
                 rows.append((coeffs, "<=", float(cap)))
@@ -110,35 +107,30 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
     pre-selection, distance-cap, contribution-cap and star-cap rows are added
     and capped-out x variables are eliminated rather than merely bounded."""
     nf = len(inst.facilities)
+    contrib = inst.contrib
     if extended is None:
         cols = list(range(len(inst.clients)))
         f0_pos: set[int] = set()
     else:
         cols = extended.cols
         f0_pos = {inst.fac_pos[f] for f in extended.f0}
-
-    contrib = inst.contrib
-
-    eliminated: set[tuple[int, int]] = set()
-    if extended is not None:
         rho_est = extended.rho * extended.est
-        for cj in cols:
-            rj_cap = extended.radius_cap(inst.clients[cj])
-            for fi in range(nf):
-                if inst.dist_fc[fi, cj] > rj_cap:
-                    eliminated.add((fi, cj))  # beyond the per-client radius
-                elif fi not in f0_pos and contrib[fi, cj] > rho_est + 1e-12:
-                    eliminated.add((fi, cj))  # single pair already too costly
 
     x_index: dict[tuple[int, int], int] = {}
-    nxt = nf
     for cj in cols:
-        for fi in range(nf):
-            if (fi, cj) not in eliminated:
-                x_index[(fi, cj)] = nxt
-                nxt += 1
+        kept = range(nf)
+        if extended is not None:
+            rj_cap = extended.radius_cap(inst.clients[cj])
+            kept = [
+                fi
+                for fi in kept
+                if inst.dist_fc[fi, cj] <= rj_cap  # within the per-client radius
+                and (fi in f0_pos or contrib[fi, cj] <= rho_est + 1e-12)  # pair under the cap
+            ]
+        for fi in kept:
+            x_index[(fi, cj)] = nf + len(x_index)
 
-    n_vars = nxt
+    n_vars = nf + len(x_index)
     objective = np.zeros(n_vars)
     lo = np.zeros(n_vars)
     hi = np.ones(n_vars)
@@ -157,7 +149,6 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
     for (fi, cj), v in x_index.items():
         lp.add_row({v: 1.0, fi: -1.0}, "<=", 0.0)
     if extended is not None:
-        rho_est = extended.rho * extended.est
         for fi in range(nf):
             if fi in f0_pos:
                 continue
@@ -168,7 +159,7 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
             }
             coeffs[fi] = coeffs.get(fi, 0.0) - rho_est
             lp.add_row(coeffs, "<=", 0.0)  # per-facility star-cost cap
-    return NaturalLP(lp, x_index, eliminated)
+    return NaturalLP(lp, x_index)
 
 
 def decode(nat: NaturalLP, inst: Instance, res: BasicOptimal) -> FractionalSolution:
@@ -303,7 +294,8 @@ def duplicate_star_balanced(sol: FractionalSolution, inst: Instance, extended) -
 
     Copies are selected for each assignment in nondecreasing order of their
     current star cost, so every copy not co-located with a pre-selected
-    facility ends with star cost at most twice the per-facility cap.
+    facility ends with star cost at most twice the per-facility cap; the
+    split reads no EST, and the caller checks that cap against ``bs.star``.
     """
     nf, nc = sol.x.shape
     cprime_cols = extended.cols
@@ -408,11 +400,11 @@ def star_costs(bs: BallSystem, inst: Instance, contrib: np.ndarray | None = None
 def _audit_star_balance(
     bs: BallSystem, inst: Instance, extended, lp_objective: float
 ) -> np.ndarray:
-    """Check the star-balanced split; returns the per-copy star costs it checked."""
-    for j in extended.cprime:
-        cj = inst.cli_pos[j]
+    """Check the split's C' ball masses, budget, F0 copy masses and objective;
+    returns the per-copy star costs."""
+    for cj in extended.cols:
         if abs(bs.ball_mass(cj) - 1.0) > 1e-9:
-            raise InstanceError(f"outer ball of {j} has mass {bs.ball_mass(cj)}")
+            raise InstanceError(f"outer ball of {inst.clients[cj]} has mass {bs.ball_mass(cj)}")
     con = inst.constraint
     if isinstance(con, Knapsack):
         total = float(np.sum(np.array([con.weights[f] for f in bs.orig]) * bs.y))
@@ -423,19 +415,7 @@ def _audit_star_balance(
         if abs(mass - 1.0) > 1e-7:
             raise InstanceError(f"pre-selected facility {f} has copy mass {mass}")
     contrib = _copy_contrib(bs, inst)
-    obj = 0.0
-    for j in extended.cprime:
-        cj = inst.cli_pos[j]
-        obj += float(sum(bs.y[c] * contrib[c, cj] for c in bs.F[cj]))
+    obj = sum(float(sum(bs.y[c] * contrib[c, cj] for c in bs.F[cj])) for cj in extended.cols)
     if obj > lp_objective + 1e-6 * max(1.0, abs(lp_objective)):
         raise InstanceError("duplication increased the relaxation objective")
-    stars = star_costs(bs, inst, contrib)
-    cap = 2.0 * extended.rho * extended.est + 1e-6
-    for c, f in enumerate(bs.orig):
-        if extended.near_f0[inst.fac_pos[f]]:
-            continue  # co-located with a pre-selected facility
-        if stars[c] > cap:
-            raise InstanceError(
-                f"copy of {bs.orig[c]} has star cost {stars[c]:.6g} above the 2*rho*EST cap"
-            )
-    return stars
+    return star_costs(bs, inst, contrib)

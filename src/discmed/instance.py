@@ -412,6 +412,19 @@ def normalize(inst: Instance) -> Instance:
     return replace(inst, metric=metric, discounts=discounts, scale=inst.scale * s)
 
 
+def checked(inst: Instance) -> Instance:
+    """``inst`` normalized; raises InstanceError naming every invariant it breaks.
+
+    Sub-unit separations are repaired by ``normalize``, not rejected, so the
+    invariants are checked after it.
+    """
+    inst = normalize(inst)
+    problems = validate(inst)
+    if problems:
+        raise InstanceError("invalid instance: " + "; ".join(problems))
+    return inst
+
+
 def generate(
     n_facilities: int,
     n_clients: int,

@@ -30,9 +30,8 @@ from .instance import (
     Instance,
     InstanceError,
     Matroid,
+    checked,
     discounted_cost,
-    normalize,
-    validate,
 )
 from .lpcore import LinearProgram, solve
 
@@ -200,8 +199,8 @@ def iter_round(
         raise InstanceError("step size must be 1 or 2")
     if cols is None:
         cols = [cj for cj in range(len(inst.clients)) if bs.F[cj]]
-    chat = dm.round_up_array(bs.dist)
     levels_mat = dm.levels_array(bs.dist)
+    chat = dm.level_values(levels_mat)
     state = RoundState(
         bs=bs,
         dm=dm,
@@ -366,11 +365,7 @@ def offset_support(bs: BallSystem, inst: Instance, cols: Sequence[int]):
 
 def _pipeline(inst: Instance, tau: float, h: int) -> SolveReport:
     original = inst
-    inst = normalize(inst)  # sub-unit separations are repaired, not rejected
-    problems = validate(inst)
-    if problems:
-        raise InstanceError("invalid instance: " + "; ".join(problems))
-
+    inst = checked(inst)
     frac = solve_natural(inst)
     frac = make_distance_optimal(frac, inst)
     bs = duplicate_facilities(frac, inst)

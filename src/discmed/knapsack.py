@@ -28,9 +28,8 @@ from .instance import (
     InstanceError,
     Knapsack,
     Matroid,
+    checked,
     discounted_cost,
-    normalize,
-    validate,
 )
 from .iterround import (
     Certificate,
@@ -73,6 +72,10 @@ class ExtendedInstance:
     # radius caps depend on (cprime, rho, delta, est) but not on f0, so the
     # cache can be shared across extended instances that differ only in f0
     rj: dict[str, float] = field(default_factory=dict, repr=False)
+    # set by _task_table: the position in the task table, which breaks ties
+    # among equal-cost candidates, and the grid estimates the task stands for
+    index: int = 0
+    ests: tuple[float, ...] = ()
 
     def __post_init__(self):
         self.f0 = tuple(sorted(self.f0))
@@ -297,9 +300,12 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
     """Run the strengthened pipeline on one extended instance.
 
     Returns None when the relaxation is infeasible (the instance is then not
-    the sparse one). Raises RoundingError, naming the task's F0 and EST, if
-    more than two coordinates stay fractional, which the basis structure rules
-    out, or if the rounded set breaks the pre-selection or the budget.
+    the sparse one). Raises InstanceError if a copy away from F0 has star
+    cost above 2*rho*EST, before any rounding. Raises RoundingError, naming
+    the task's F0 and EST, if more than two coordinates stay fractional,
+    which the basis structure rules out, or if the rounded set breaks the
+    pre-selection or the budget. Only the LP, the star-cost cap and the
+    certificates read EST; the split and the rounding do not.
     """
     inst = ext.base
     con = inst.constraint
@@ -314,8 +320,15 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
         return None
     U = frac_sol.objective_value
 
-    certs: list[Certificate] = []
     bs = duplicate_star_balanced(frac_sol, inst, ext)
+    far = ~ext.near_f0[[inst.fac_pos[f] for f in bs.orig]]  # copies away from F0
+    stars = np.where(far, bs.star, 0.0)
+    worst = int(np.argmax(stars))
+    star_cap = 2.0 * ext.rho * ext.est
+    if stars[worst] > star_cap + 1e-6:
+        raise InstanceError(
+            f"copy of {bs.orig[worst]} has star cost {stars[worst]:.6g} above the 2*rho*EST cap"
+        )
     c_arr, r_arr, m_arr = offset_support(bs, inst, ext.cols)
     b, initial_aux = choose_offset(c_arr, r_arr, m_arr, tau)
     dm = DiscretizedMetric(tau, b)
@@ -338,14 +351,12 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
 
     alpha = knapsack_alpha(tau, ext.delta)
     cost = discounted_cost(inst, solution, alpha)
-    certs.append(Certificate("fractional_residual", float(t), 2.0, t <= 2))
-    certs.append(Certificate.leq("solution_weight_le_budget", total_w, con.budget, tol=1e-7))
-    far = ~ext.near_f0[[inst.fac_pos[f] for f in bs.orig]]  # copies away from F0
+    certs = [
+        Certificate("fractional_residual", float(t), 2.0, t <= 2),
+        Certificate.leq("solution_weight_le_budget", total_w, con.budget, tol=1e-7),
+    ]
     if ext.cprime:
-        worst = max((float(s) for s in bs.star[far]), default=0.0)
-        certs.append(
-            Certificate.leq("star_cost_le_2rhoEST", worst, 2.0 * ext.rho * ext.est)
-        )
+        certs.append(Certificate.leq("star_cost_le_2rhoEST", stars[worst], star_cap))
     if closed is not None and far[closed]:
         # a closed copy co-located with a pre-selected facility reroutes at
         # distance zero; the star-cost cap (and hence these sums) only covers
@@ -453,13 +464,13 @@ def _task_table(
     epsilon: float,
     caps: tuple[int, int],
     max_candidates: int,
-) -> tuple[list[ExtendedInstance], list[list[float]], list[list[int]]]:
-    """The extended-instance tasks of a normalized knapsack instance.
+) -> list[list[ExtendedInstance]]:
+    """The extended-instance tasks of a normalized knapsack instance, in chains.
 
-    Returns ``(tasks, ests, chains)``. ``tasks`` is in table order, which
-    breaks ties among equal-cost candidates; ``ests[k]`` lists the grid
-    estimates task k stands for. Each chain holds the task indices of one
-    (F0, C') pair in descending EST.
+    Each chain holds the tasks of one (F0, C') pair in descending EST. A
+    task's ``index`` is its position in the table, whose order breaks ties
+    among equal-cost candidates; its ``ests`` are the grid estimates it
+    stands for.
     """
     ub = _upper_bound_cost(inst)
     kept_ests = dict.fromkeys(  # distinct, in first-seen order
@@ -479,15 +490,15 @@ def _task_table(
             saturated = rho * est >= thresholds[cprime] - 1e-12
             table.setdefault((f0, cprime, None if saturated else est), []).append(est)
     rj_caches: dict[tuple, dict[str, float]] = {}
-    tasks = []
-    groups: dict[tuple, list[int]] = {}
+    chains: dict[tuple, list[ExtendedInstance]] = {}
     for k, ((f0, cprime, _), task_ests) in enumerate(table.items()):
         est = min(task_ests)
         rj = rj_caches.setdefault((cprime, est), {})
-        tasks.append(ExtendedInstance(inst, f0, cprime, rho, delta, est, rj))
-        groups.setdefault((f0, cprime), []).append(k)
-    chains = [sorted(g, key=lambda k: tasks[k].est, reverse=True) for g in groups.values()]
-    return tasks, list(table.values()), chains
+        ext = ExtendedInstance(
+            inst, f0, cprime, rho, delta, est, rj, index=k, ests=tuple(task_ests)
+        )
+        chains.setdefault((f0, cprime), []).append(ext)
+    return [sorted(c, key=lambda ext: ext.est, reverse=True) for c in chains.values()]
 
 
 def _solve_chain(chain: list[ExtendedInstance], tau: float) -> list[KnapCandidate | None]:
@@ -539,41 +550,34 @@ def solve_knapmeddis(
         if cap is not None and cap < 0:
             raise InstanceError(f"caps must be nonnegative: cap{k} = {cap}")
     original = inst
-    inst = normalize(inst)
-    problems = validate(inst)
-    if problems:
-        raise InstanceError("invalid instance: " + "; ".join(problems))
+    inst = checked(inst)
 
     theo1, theo2 = theoretical_caps(rho, delta)
     cap1, cap2 = caps or (None, None)
     cap1, cap2 = theo1 if cap1 is None else cap1, theo2 if cap2 is None else cap2
-    tasks, ests, chains = _task_table(inst, rho, delta, epsilon, (cap1, cap2), max_candidates)
+    chains = _task_table(inst, rho, delta, epsilon, (cap1, cap2), max_candidates)
+    n_tasks = sum(map(len, chains))
 
-    work = [[tasks[k] for k in chain] for chain in chains]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(_solve_chain, work, itertools.repeat(tau), chunksize=4))
+            solved = list(pool.map(_solve_chain, chains, itertools.repeat(tau), chunksize=4))
     else:
-        solved = [_solve_chain(chain, tau) for chain in work]
-    results: list[KnapCandidate | None] = [None] * len(tasks)
-    for chain, chain_results in zip(chains, solved):
-        for k, cand in zip(chain, chain_results):
-            results[k] = cand
-    skipped = len(tasks) - sum(map(len, solved))
+        solved = [_solve_chain(chain, tau) for chain in chains]
+    skipped = n_tasks - sum(map(len, solved))
 
     coef = knapsack_est_coefficient(tau, rho, delta)
-    candidates = []
-    for cand, task_ests in zip(results, ests):
-        if cand is None:
-            continue
+    candidates = sorted(
+        (cand for results in solved for cand in results if cand is not None),
+        key=lambda cand: cand.extended.index,
+    )
+    for cand in candidates:
         cand.meets_own_est_bound = any(
             cand.true_discounted_cost <= coef * e + 1e-6 * max(1.0, coef * e)
-            for e in task_ests
+            for e in cand.extended.ests
         )
-        candidates.append(cand)
     if not candidates:
         raise RoundingError(
-            f"knapsack selection: none of the {len(tasks)} extended instances "
+            f"knapsack selection: none of the {n_tasks} extended instances "
             "produced a candidate"
         )
     best = min(candidates, key=lambda c: (c.true_discounted_cost, c.solution))
@@ -622,7 +626,7 @@ def solve_knapmeddis(
             "bestF0": list(best.extended.f0),
             "candidates": summaries,
             "scale": inst.scale,
-            "evaluated": len(tasks),
+            "evaluated": n_tasks,
             "feasible": len(candidates),
             "skipped": skipped,
         },

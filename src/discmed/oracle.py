@@ -173,10 +173,12 @@ def brute_stochastic_opt(stoch) -> OracleResult:
 
 def check_bicriteria(inst: Instance, solution: Iterable[str], alpha: float, beta: float) -> dict:
     """Certify cost(solution, alpha) <= beta * brute-force optimum + 1e-6."""
-    from .instance import discounted_cost
-
+    chosen = sorted(set(solution))
+    stray = set(chosen) - set(inst.facilities)
+    if not chosen or stray:
+        raise InstanceError(f"check_bicriteria: no facility or unknown facilities in {chosen}")
     res = brute_opt(inst)
-    lhs = discounted_cost(inst, solution, alpha)
+    lhs = _set_cost(inst.dist_fc, inst.w, alpha * inst.r, [inst.fac_pos[f] for f in chosen])
     rhs = beta * res.value
     return {
         "opt": res.value,

@@ -47,6 +47,8 @@ class TestRoundUp:
         cs = np.array([0.0, 1.0, 1.5, 2.0, 7.3, 40.0])
         assert np.allclose(dm.round_up_array(cs), [dm.round_up(float(c)) for c in cs])
         assert list(dm.levels_array(cs)) == [dm.level_of(float(c)) for c in cs]
+        values = dm.level_values(dm.levels_array(cs))
+        assert np.allclose(values, [dm.level_value(dm.level_of(float(c))) for c in cs])
 
 
 def random_support(rng, n=12):

@@ -44,6 +44,19 @@ class TestBuildNaturalLP:
         # rows: 2 assignment + 2 part rows + 6 coupling; no per-element rows
         assert nat.lp.n_rows == 2 + 2 + 6
 
+    def test_uniform_matroid_rows_over_copies(self):
+        # one row per duplicated facility, then the rank row over every copy
+        from discmed.fractional import matroid_polytope_rows
+
+        copies_of = {"f00": [0], "f01": [1, 2], "f02": [3, 4, 5]}
+        rows = matroid_polytope_rows(I.UniformMatroid(2), ("f00", "f01", "f02"), copies_of)
+        assert rows == [
+            ({1: 1.0, 2: 1.0}, "<=", 1.0),
+            ({3: 1.0, 4: 1.0, 5: 1.0}, "<=", 1.0),
+            ({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 1.0}, "<=", 2.0),
+        ]
+        assert list(rows[-1][0]) == [0, 1, 2, 3, 4, 5]  # dict equality ignores key order
+
     def test_lp_value_lower_bounds_integral_optimum(self):
         from discmed.oracle import brute_opt
 

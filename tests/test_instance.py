@@ -47,6 +47,19 @@ class TestValidate:
             assert I.validate(inst) == [], (seed, kind)
 
 
+class TestChecked:
+    def test_normalizes_before_validating(self):
+        inst = line_instance([0.5], [0.25])
+        out = I.checked(inst)
+        assert out.scale == pytest.approx(2.0)
+        assert I.validate(out) == []
+
+    def test_raises_with_every_problem(self):
+        inst = line_instance([5.0], [-1.0], k=3)
+        with pytest.raises(I.InstanceError, match=r"^invalid instance: .*negative discount.*k=3"):
+            I.checked(inst)
+
+
 class TestDiscountedCost:
     def test_simple_clamp(self):
         inst = line_instance([5.0], [2.0])

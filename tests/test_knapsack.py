@@ -167,22 +167,26 @@ class TestSparsify:
 
 class TestEliminationAudit:
     def test_capped_pairs_are_absent_from_the_lp(self):
-        # pinned-to-zero assignment pairs must have no variable at all
+        # a C' pair has no variable exactly when it lies beyond the client's
+        # radius cap or, for a facility outside F0, costs more than rho*EST
         from discmed.fractional import build_natural_lp
 
         audited = 0
         for seed in range(8):
             inst = knap_instance(seed=seed, nf=3, nc=5)
             est = max(brute_opt(inst).value, 0.5)
-            ext = plain_extended(inst, est=est)
+            f0 = (inst.facilities[seed % 3],) if seed % 2 else ()
+            ext = plain_extended(inst, est=est, f0=f0)
             nat = build_natural_lp(inst, extended=ext)
-            for pair in nat.eliminated:
-                assert pair not in nat.x_index
-            alive = len(nat.x_index)
-            nf, nc = len(inst.facilities), len(ext.cprime)
-            assert nat.lp.n_vars == nf + alive
-            assert alive + len(nat.eliminated) == nf * nc
-            audited += len(nat.eliminated)
+            nf = len(inst.facilities)
+            for cj in range(len(inst.clients)):
+                for fi in range(nf):
+                    beyond = inst.dist_fc[fi, cj] > ext.radius_cap(inst.clients[cj])
+                    costly = inst.contrib[fi, cj] > ext.rho * ext.est + 1e-12
+                    capped = beyond or (costly and inst.facilities[fi] not in f0)
+                    assert ((fi, cj) in nat.x_index) == (not capped), (seed, fi, cj)
+                    audited += capped
+            assert nat.lp.n_vars == nf + len(nat.x_index)
         assert audited > 0
 
 
@@ -284,7 +288,7 @@ class TestLemma43AndDuplication:
                 frac = solve_natural(inst, extended=ext)
             except InfeasibleLP:
                 continue  # this (F0, EST) pair is simply not the sparse one
-            bs = duplicate_star_balanced(frac, inst, ext)  # raises if any bound fails
+            bs = duplicate_star_balanced(frac, inst, ext)  # raises if a mass bound fails
             stars = star_costs(bs, inst)
             assert float(stars.max(initial=0.0)) <= 2 * ext.rho * ext.est + 1e-6
             built += 1
@@ -341,6 +345,26 @@ class TestSolveExtended:
         assert not ext.near_f0.any()
         ext = plain_extended(inst, est=1.0, f0=(inst.facilities[2],))
         assert list(ext.near_f0) == [False, False, True]
+
+    def test_star_cap_violation_raises_before_rounding(self, monkeypatch):
+        # the split reads no EST; solve_extended checks its star costs against
+        # 2*rho*EST and stops before the offset search and the rounding loop
+        inst = knap_instance(seed=1, nf=3, nc=4)
+        ext = plain_extended(inst, est=50.0)
+
+        def inflated(sol, inst, ext):
+            bs = duplicate_star_balanced(sol, inst, ext)
+            bs.star[-1] = 2.0 * ext.rho * ext.est + 1e-5
+            return bs
+
+        def no_rounding(*args, **kwargs):
+            raise AssertionError("rounding ran past a broken star cap")
+
+        monkeypatch.setattr(knapsack, "duplicate_star_balanced", inflated)
+        monkeypatch.setattr(knapsack, "choose_offset", no_rounding)
+        monkeypatch.setattr(knapsack, "iter_round", no_rounding)
+        with pytest.raises(I.InstanceError, match=r"star cost 50 above the 2\*rho\*EST cap"):
+            solve_extended(ext, tau=1.9)
 
     def test_task_error_names_f0_and_est(self, monkeypatch):
         inst = knap_instance(seed=1, nf=3, nc=4)
@@ -477,13 +501,19 @@ class TestSolveKnapMedDis:
         monkeypatch.setattr(knapsack, "solve_extended", recording)
         rep = solve_knapmeddis(inst, tau=tau, rho=rho, delta=delta, epsilon=eps)
         norm = I.normalize(inst)
-        tasks, ests, _ = knapsack._task_table(
+        chains = knapsack._task_table(
             norm, rho, delta, eps, knapsack.theoretical_caps(rho, delta),
             knapsack.DEFAULT_MAX_CANDIDATES,
         )
+        for chain in chains:  # one (F0, C') pair per chain, in descending EST
+            assert len({(ext.f0, ext.cprime) for ext in chain}) == 1
+            assert [ext.est for ext in chain] == sorted((ext.est for ext in chain), reverse=True)
+        tasks = sorted((ext for chain in chains for ext in chain), key=lambda ext: ext.index)
+        assert [ext.index for ext in tasks] == list(range(len(tasks)))
         coef = knapsack_est_coefficient(tau, rho, delta)
         summaries = []
-        for ext, task_ests in zip(tasks, ests):
+        for ext in tasks:
+            assert ext.est == min(ext.ests)
             cand = solve_extended(ext, tau)
             if (ext.f0, ext.cprime, ext.est) not in solved:
                 assert cand is None, (ext.f0, ext.cprime, ext.est)
@@ -497,7 +527,7 @@ class TestSolveKnapMedDis:
                     "t": cand.fractional_residual,
                     "lpObjective": cand.lp_objective,
                     "withinEstBound": any(
-                        cost <= coef * e + 1e-6 * max(1.0, coef * e) for e in task_ests
+                        cost <= coef * e + 1e-6 * max(1.0, coef * e) for e in ext.ests
                     ),
                 })
         assert rep.extras["candidates"] == summaries

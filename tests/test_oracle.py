@@ -173,6 +173,20 @@ class TestCheckBicriteria:
         cert = check_bicriteria(uni, [uni.facilities[0]], 1.0, 5.0)
         assert cert["holds"] == (cert["lhs"] <= 1e-6)
 
+    def test_lhs_shares_no_code_with_the_solvers(self, monkeypatch):
+        # the certified cost is the oracle's own, not the library's discounted_cost
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle called instance.discounted_cost")
+
+        inst = generate(4, 5, kind="cardinality", seed=7)
+        chosen = [inst.facilities[2], inst.facilities[0]]
+        expected = recompute_discounted_cost(inst, chosen, 1.5)
+        monkeypatch.setattr(I, "discounted_cost", broken)
+        cert = check_bicriteria(inst, chosen, 1.5, 10.0)
+        assert cert["lhs"] == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(I.InstanceError):
+            check_bicriteria(inst, ["nowhere"], 1.5, 10.0)
+
     def test_guard_exceeded_raises(self):
         inst = generate(4, 3, kind="cardinality", seed=9)
         import discmed.oracle as O
