@@ -9,6 +9,7 @@ The knapsack pipeline uses a star-cost-balanced variant of the splitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -225,8 +226,16 @@ class BallSystem:
     def n_copies(self) -> int:
         return len(self.orig)
 
+    @cached_property
+    def _copies(self) -> dict[str, list[int]]:
+        """Facility id -> its copies in index order, built on first use."""
+        out: dict[str, list[int]] = {}
+        for c, f in enumerate(self.orig):
+            out.setdefault(f, []).append(c)
+        return out
+
     def copies_of(self, facility: str) -> list[int]:
-        return [c for c, f in enumerate(self.orig) if f == facility]
+        return list(self._copies.get(facility, ()))
 
     def ball_mass(self, cj: int) -> float:
         return float(sum(self.y[c] for c in self.F[cj]))

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .discretize import DiscretizedMetric, choose_offset
-from .fractional import duplicate_star_balanced, solve_natural
+from .fractional import BallSystem, duplicate_star_balanced, solve_natural
 from .instance import (
     Cardinality,
     Instance,
@@ -34,6 +34,7 @@ from .instance import (
 from .iterround import (
     Certificate,
     RoundingError,
+    RoundState,
     SolveReport,
     VirtualClient,
     fractional_copies,
@@ -76,6 +77,9 @@ class ExtendedInstance:
     # among equal-cost candidates, and the grid estimates the task stands for
     index: int = 0
     ests: tuple[float, ...] = ()
+    # set by _task_table, shared by the tasks of one (F0, C') chain: the
+    # rounding of the chain's last vertex, keyed by that vertex
+    memo: dict[tuple, _Rounding] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.f0 = tuple(sorted(self.f0))
@@ -93,6 +97,11 @@ class ExtendedInstance:
         if not self.f0:
             return np.zeros(len(inst.facilities), dtype=bool)
         return inst.metric.submatrix(inst.facilities, self.f0).min(axis=1) <= 1e-12
+
+    @property
+    def star_cap(self) -> float:
+        """The 2*rho*EST cap on the star cost of a copy away from F0."""
+        return 2.0 * self.rho * self.est
 
     def radius_cap(self, client: str) -> float:
         if client not in self.rj:
@@ -263,6 +272,25 @@ class KnapCandidate:
     # set by solve_knapmeddis: the cost is within the EST bound of one of the
     # task's estimates; diagnostic only, guaranteed for the witness EST alone
     meets_own_est_bound: bool = False
+    # the split and rounding came from the chain's memo, not a fresh run
+    reused: bool = False
+
+
+@dataclass
+class _Rounding:
+    """The EST-free half of a task: the star-balanced split of its LP vertex,
+    the rounding of that split, and the rounded set with its cost."""
+
+    bs: BallSystem
+    far: np.ndarray  # copies away from F0
+    stars: np.ndarray  # star costs of the far copies, 0 elsewhere
+    worst: int
+    state: RoundState
+    t: int
+    closed: int | None
+    solution: tuple[str, ...]
+    total_w: float
+    cost: float  # at the alpha'' multiplier
 
 
 def _resolve_fractional(
@@ -305,7 +333,10 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
     the task's F0 and EST, if more than two coordinates stay fractional,
     which the basis structure rules out, or if the rounded set breaks the
     pre-selection or the budget. Only the LP, the star-cost cap and the
-    certificates read EST; the split and the rounding do not.
+    certificates read EST; the split and the rounding do not. So when the
+    decoded vertex and objective equal those of the chain's last rounded
+    task, its rounding is reused from ``ext.memo`` and only the cap check and
+    the certificates are redone.
     """
     inst = ext.base
     con = inst.constraint
@@ -320,17 +351,62 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
         return None
     U = frac_sol.objective_value
 
-    bs = duplicate_star_balanced(frac_sol, inst, ext)
-    far = ~ext.near_f0[[inst.fac_pos[f] for f in bs.orig]]  # copies away from F0
-    stars = np.where(far, bs.star, 0.0)
-    worst = int(np.argmax(stars))
-    star_cap = 2.0 * ext.rho * ext.est
-    if stars[worst] > star_cap + 1e-6:
+    key = (frac_sol.x.tobytes(), frac_sol.y.tobytes(), float(U).hex(), tau)
+    rnd = ext.memo.get(key)
+    reused = rnd is not None
+    if reused:
+        _check_star_cap(ext, rnd.bs, rnd.stars, rnd.worst)
+    else:
+        rnd = _round_vertex(frac_sol, ext, tau)
+        if rnd is None:
+            return None
+        ext.memo.clear()  # one entry: the chain's last vertex
+        ext.memo[key] = rnd
+
+    certs = [
+        Certificate("fractional_residual", float(rnd.t), 2.0, rnd.t <= 2),
+        Certificate.leq("solution_weight_le_budget", rnd.total_w, con.budget, tol=1e-7),
+    ]
+    if ext.cprime:
+        certs.append(Certificate.leq("star_cost_le_2rhoEST", rnd.stars[rnd.worst], ext.star_cap))
+    if rnd.closed is not None and rnd.far[rnd.closed]:
+        # a closed copy co-located with a pre-selected facility reroutes at
+        # distance zero; the star-cost cap (and hence these sums) only covers
+        # copies away from the pre-selected set
+        certs.extend(
+            _reroute_certificates(ext, rnd.bs, rnd.state, rnd.solution, rnd.closed, tau)
+        )
+
+    return KnapCandidate(
+        extended=ext,
+        solution=rnd.solution,
+        true_discounted_cost=rnd.cost,
+        fractional_residual=rnd.t,
+        lp_objective=U,
+        certificates=certs,
+        reused=reused,
+    )
+
+
+def _check_star_cap(ext: ExtendedInstance, bs: BallSystem, stars: np.ndarray, worst: int):
+    """Raise InstanceError if the worst far copy's star cost exceeds 2*rho*EST."""
+    if stars[worst] > ext.star_cap + 1e-6:
         raise InstanceError(
             f"copy of {bs.orig[worst]} has star cost {stars[worst]:.6g} above the 2*rho*EST cap"
         )
+
+
+def _round_vertex(frac_sol, ext: ExtendedInstance, tau: float) -> _Rounding | None:
+    """Split the vertex, check the star cap, then round; None if nothing opens."""
+    inst = ext.base
+    con = inst.constraint
+    bs = duplicate_star_balanced(frac_sol, inst, ext)
+    far = ~ext.near_f0[[inst.fac_pos[f] for f in bs.orig]]
+    stars = np.where(far, bs.star, 0.0)
+    worst = int(np.argmax(stars))
+    _check_star_cap(ext, bs, stars, worst)
     c_arr, r_arr, m_arr = offset_support(bs, inst, ext.cols)
-    b, initial_aux = choose_offset(c_arr, r_arr, m_arr, tau)
+    b, _ = choose_offset(c_arr, r_arr, m_arr, tau)
     dm = DiscretizedMetric(tau, b)
     virtuals = [
         VirtualClient(vid=f"~{f}", copies=frozenset(bs.copies_of(f))) for f in ext.f0
@@ -348,29 +424,8 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
             raise RoundingError(f"solution weight {total_w} exceeds the budget {con.budget}")
     except RoundingError as exc:
         raise RoundingError(f"knapsack task F0={list(ext.f0)} EST={ext.est!r}: {exc}") from exc
-
-    alpha = knapsack_alpha(tau, ext.delta)
-    cost = discounted_cost(inst, solution, alpha)
-    certs = [
-        Certificate("fractional_residual", float(t), 2.0, t <= 2),
-        Certificate.leq("solution_weight_le_budget", total_w, con.budget, tol=1e-7),
-    ]
-    if ext.cprime:
-        certs.append(Certificate.leq("star_cost_le_2rhoEST", stars[worst], star_cap))
-    if closed is not None and far[closed]:
-        # a closed copy co-located with a pre-selected facility reroutes at
-        # distance zero; the star-cost cap (and hence these sums) only covers
-        # copies away from the pre-selected set
-        certs.extend(_reroute_certificates(ext, bs, state, solution, closed, tau))
-
-    return KnapCandidate(
-        extended=ext,
-        solution=solution,
-        true_discounted_cost=cost,
-        fractional_residual=t,
-        lp_objective=U,
-        certificates=certs,
-    )
+    cost = discounted_cost(inst, solution, knapsack_alpha(tau, ext.delta))
+    return _Rounding(bs, far, stars, worst, state, t, closed, solution, total_w, cost)
 
 
 def _reroute_certificates(ext, bs, state, solution, closed, tau) -> list[Certificate]:
@@ -449,7 +504,7 @@ def _saturation_threshold(inst: Instance, cprime: tuple[str, ...], delta: float)
     thr = max(float(contrib.max(initial=0.0)), float(contrib.sum(axis=1).max(initial=0.0)))
     kinks = inst.r[cols] / (1.0 - delta)
     weights = inst.w[cols]
-    for cj, col in zip(cols, cols):
+    for col in cols:
         reach = float(inst.dist_fc[:, col].max())
         close = inst.dist_cc[col, cols] <= delta * reach
         g = float(np.sum(weights[close] * np.maximum(reach - kinks[close], 0.0)))
@@ -470,7 +525,7 @@ def _task_table(
     Each chain holds the tasks of one (F0, C') pair in descending EST. A
     task's ``index`` is its position in the table, whose order breaks ties
     among equal-cost candidates; its ``ests`` are the grid estimates it
-    stands for.
+    stands for. The tasks of one chain share one ``memo``.
     """
     ub = _upper_bound_cost(inst)
     kept_ests = dict.fromkeys(  # distinct, in first-seen order
@@ -490,12 +545,14 @@ def _task_table(
             saturated = rho * est >= thresholds[cprime] - 1e-12
             table.setdefault((f0, cprime, None if saturated else est), []).append(est)
     rj_caches: dict[tuple, dict[str, float]] = {}
+    memos: dict[tuple, dict] = {}
     chains: dict[tuple, list[ExtendedInstance]] = {}
     for k, ((f0, cprime, _), task_ests) in enumerate(table.items()):
         est = min(task_ests)
         rj = rj_caches.setdefault((cprime, est), {})
+        memo = memos.setdefault((f0, cprime), {})
         ext = ExtendedInstance(
-            inst, f0, cprime, rho, delta, est, rj, index=k, ests=tuple(task_ests)
+            inst, f0, cprime, rho, delta, est, rj, index=k, ests=tuple(task_ests), memo=memo
         )
         chains.setdefault((f0, cprime), []).append(ext)
     return [sorted(c, key=lambda ext: ext.est, reverse=True) for c in chains.values()]
@@ -510,12 +567,19 @@ def _solve_chain(chain: list[ExtendedInstance], tau: float) -> list[KnapCandidat
     infeasible, so is every lower estimate's. The other causes of None, an
     over-budget F0 and an empty task, do not depend on EST at all; the last,
     an empty rounded set, arose in no solve measured.
+
+    The chain's memo is emptied on return, so the candidates, which keep
+    their tasks, pin no ball system or rounding state.
     """
     out: list[KnapCandidate | None] = []
-    for ext in chain:
-        out.append(solve_extended(ext, tau))
-        if out[-1] is None:
-            break
+    try:
+        for ext in chain:
+            out.append(solve_extended(ext, tau))
+            if out[-1] is None:
+                break
+    finally:
+        for ext in chain:
+            ext.memo.clear()
     return out
 
 
@@ -536,7 +600,10 @@ def solve_knapmeddis(
     skipped, which cannot exclude the certified witness pair. Each (F0, C')
     chain is solved from its largest estimate down and stops at its first
     infeasible task; ``extras["skipped"]`` counts the tasks it settled
-    without a solve. A missing entry of ``caps`` takes its theoretical value.
+    without a solve. A task whose LP returns the vertex of the chain's last
+    rounded task reuses that task's split and rounding; ``extras["reused"]``
+    counts those tasks, all of them feasible. A missing entry of ``caps``
+    takes its theoretical value.
     """
     if not isinstance(inst.constraint, Knapsack):
         raise InstanceError("solve_knapmeddis needs a knapsack constraint")
@@ -629,6 +696,7 @@ def solve_knapmeddis(
             "evaluated": n_tasks,
             "feasible": len(candidates),
             "skipped": skipped,
+            "reused": sum(c.reused for c in candidates),
         },
     )
 

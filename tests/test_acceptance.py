@@ -191,6 +191,7 @@ def test_criterion_5_knapmeddis_pipeline():
         assert sum(w[f] for f in rep.solution) <= inst.constraint.budget + 1e-7
         for cand in rep.extras["candidates"]:
             assert cand["t"] in (0, 1, 2)
+        assert 0 < rep.extras["reused"] <= rep.extras["feasible"]
         opt = brute_opt(inst)
         lhs = discounted_cost(inst, rep.solution, alpha)
         rhs = coef * (1 + eps) * opt.value

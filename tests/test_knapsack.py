@@ -536,6 +536,70 @@ class TestSolveKnapMedDis:
         assert rep.extras["skipped"] == len(tasks) - len(solved) > 0
         assert rep.extras["feasible"] + rep.extras["skipped"] <= rep.extras["evaluated"]
 
+    @pytest.mark.parametrize("nf, nc, seed", [(2, 3, 3), (3, 4, 1)])
+    def test_reused_rounding_is_byte_identical(self, monkeypatch, nf, nc, seed):
+        # a task whose LP returns its chain's last vertex reuses that task's
+        # split and rounding; each candidate must equal a solve of its task
+        # with the memo emptied, and the split and the rounding run once per
+        # task that was not reused
+        tau, rho, delta, eps = 1.9, 0.5, 2 / 3, 0.25
+        inst = knap_instance(seed=seed, nf=nf, nc=nc)
+        calls = {"duplicate_star_balanced": 0, "iter_round": 0}
+        recorded = {}
+
+        def counting(name):
+            inner = getattr(knapsack, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapped
+
+        def recording(ext, tau):
+            cand = solve_extended(ext, tau)
+            if cand is not None:
+                recorded[ext.index] = cand
+            return cand
+
+        for name in calls:
+            monkeypatch.setattr(knapsack, name, counting(name))
+        monkeypatch.setattr(knapsack, "solve_extended", recording)
+        rep = solve_knapmeddis(inst, tau=tau, rho=rho, delta=delta, epsilon=eps)
+        monkeypatch.undo()
+
+        feasible, reused = rep.extras["feasible"], rep.extras["reused"]
+        assert 0 < reused <= feasible == len(recorded)
+        assert sum(cand.reused for cand in recorded.values()) == reused
+        assert calls == dict.fromkeys(calls, feasible - reused)
+        # the memo is emptied when its chain returns, so no candidate pins a rounding
+        assert all(cand.extended.memo == {} for cand in recorded.values())
+
+        def facts(cand):
+            return (
+                cand.solution,
+                float(cand.lp_objective).hex(),
+                float(cand.true_discounted_cost).hex(),
+                cand.fractional_residual,
+                [
+                    (c.name, float(c.lhs).hex(), float(c.rhs).hex(), c.holds)
+                    for c in cand.certificates
+                ],
+            )
+
+        chains = knapsack._task_table(
+            I.normalize(inst), rho, delta, eps, knapsack.theoretical_caps(rho, delta),
+            knapsack.DEFAULT_MAX_CANDIDATES,
+        )
+        cold = {}
+        for ext in (ext for chain in chains for ext in chain):
+            ext.memo.clear()
+            cand = solve_extended(ext, tau)
+            if cand is not None:
+                assert not cand.reused
+                cold[ext.index] = facts(cand)
+        assert cold == {k: facts(cand) for k, cand in recorded.items()}
+
     def test_no_candidate_names_the_task_count(self, monkeypatch):
         monkeypatch.setattr(knapsack, "solve_extended", lambda ext, tau: None)
         with pytest.raises(

@@ -300,6 +300,24 @@ def _aux_lp_digest(monkeypatch, run) -> str:
     return digest.hexdigest()
 
 
+def _knapsack_rounding_every_task():
+    # a task that returns its chain's last vertex reuses that vertex's
+    # rounding and solves no auxiliary LP; emptying the memo before each task
+    # rounds every feasible task, so the digest keeps covering all their LPs
+    solve_extended = knapsack.solve_extended
+
+    def fresh(ext, tau):
+        ext.memo.clear()
+        return solve_extended(ext, tau)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knapsack, "solve_extended", fresh)
+        knapsack.solve_knapmeddis(
+            generate(2, 2, kind="knapsack", discount_scale=0.4, seed=1),
+            tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25,
+        )
+
+
 # the auxiliary LPs of these solves drop redundant rows after phase 1, drive
 # artificials out and flip bounds; digests recorded before the simplex kept
 # one signed bound-side array, so a change of its bookkeeping cannot move a vertex
@@ -310,10 +328,7 @@ def _aux_lp_digest(monkeypatch, run) -> str:
          "1c62a7e09ca04b70a9eaf896c3a6ff9bc9d15623"),
         (lambda: iterround.solve_matmeddis(generate(8, 20, kind="partition", seed=1), tau=2.36),
          "6d515f519885665fc62c4c00927220b2feb41bf0"),
-        (lambda: knapsack.solve_knapmeddis(
-            generate(2, 2, kind="knapsack", discount_scale=0.4, seed=1),
-            tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25,
-        ), "486a990ae56d18cfc5b854c19d1fd4f97612bf91"),
+        (_knapsack_rounding_every_task, "486a990ae56d18cfc5b854c19d1fd4f97612bf91"),
     ],
     ids=["cardinality", "partition", "knapsack"],
 )
