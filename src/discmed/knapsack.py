@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .discretize import DiscretizedMetric, choose_offset
-from .fractional import BallSystem, duplicate_star_balanced, solve_natural
+from .fractional import duplicate_star_balanced, solve_natural
 from .instance import (
     Cardinality,
     Instance,
@@ -34,7 +34,6 @@ from .instance import (
 from .iterround import (
     Certificate,
     RoundingError,
-    RoundState,
     SolveReport,
     VirtualClient,
     fractional_copies,
@@ -77,9 +76,6 @@ class ExtendedInstance:
     # among equal-cost candidates, and the grid estimates the task stands for
     index: int = 0
     ests: tuple[float, ...] = ()
-    # set by _task_table, shared by the tasks of one (F0, C') chain: the
-    # rounding of the chain's last vertex, keyed by that vertex
-    memo: dict[tuple, _Rounding] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.f0 = tuple(sorted(self.f0))
@@ -88,7 +84,7 @@ class ExtendedInstance:
     @cached_property
     def cols(self) -> list[int]:
         """Client positions of C', sorted."""
-        return sorted(self.base.cli_pos[j] for j in self.cprime)
+        return _positions(self.base, self.cprime)
 
     @cached_property
     def near_f0(self) -> np.ndarray:
@@ -135,18 +131,50 @@ def theoretical_caps(rho: float, delta: float) -> tuple[int, int]:
     return math.ceil(1.0 / rho), math.ceil(1.0 / (rho * (1.0 - delta)))
 
 
-def enumerate_estimates(inst: Instance, epsilon: float) -> list[tuple[float, float]]:
-    """All (c0, EST) pairs: per-pair contributions crossed with a (1+eps) grid."""
+def enumerate_estimates(
+    inst: Instance, epsilon: float, max_candidates: int = DEFAULT_MAX_CANDIDATES
+) -> list[tuple[float, float]]:
+    """All (c0, EST) pairs: per-pair contributions crossed with a (1+eps) grid.
+
+    The grid grows as 1/epsilon, so SparsifyGuard is raised, before any pair
+    is built, if there would be more than ``max_candidates`` pairs.
+    """
     if epsilon <= 0:
         raise InstanceError("epsilon must be positive")
     values = sorted({float(v) for v in inst.contrib.ravel() if v > 0})
     pairs: list[tuple[float, float]] = [(0.0, 0.0)]
     n = max(1, len(inst.clients))
-    steps = math.ceil(math.log(n) / math.log(1.0 + epsilon)) if n > 1 else 0
+    growth = math.log(1.0 + epsilon)  # 0 once 1 + epsilon rounds to 1
+    steps = 0 if n == 1 else math.ceil(math.log(n) / growth) if growth > 0 else math.inf
+    count = 1 + len(values) * (steps + 1) if values else 1
+    if count > max_candidates:
+        raise SparsifyGuard(
+            f"epsilon={epsilon!r} gives {count:.3g} estimate pairs, above the cap {max_candidates}"
+        )
     for c0 in values:
         for s in range(steps + 1):
             pairs.append((c0, c0 * (1.0 + epsilon) ** s))
     return pairs
+
+
+def _positions(inst: Instance, cprime: tuple[str, ...]) -> list[int]:
+    """Client positions of C', sorted: the column order of every sum over C'."""
+    return sorted(inst.cli_pos[j] for j in cprime)
+
+
+def _ball_budget(inst: Instance, cols: list[int], cj: int, delta: float):
+    """Client ``cj``'s per-ball budget g(R): w * (R - r/(1-delta))^+ summed
+    over the C' columns ``cols`` within delta*R of it. Returns g with the
+    distances, kinks and weights it sums over."""
+    dists = inst.dist_cc[cj, cols]
+    kinks = inst.r[cols] / (1.0 - delta)
+    weights = inst.w[cols]
+
+    def g(R: float) -> float:
+        active = dists <= delta * R
+        return float(np.sum(weights[active] * np.maximum(R - kinks[active], 0.0)))
+
+    return g, dists, kinks, weights
 
 
 def compute_Rj(ext: ExtendedInstance, client: str) -> float:
@@ -160,17 +188,8 @@ def compute_Rj(ext: ExtendedInstance, client: str) -> float:
     below it is returned, which keeps the budget property intact.
     """
     inst = ext.base
-    cj = inst.cli_pos[client]
-    cols = [inst.cli_pos[j] for j in ext.cprime]
-    dists = inst.dist_cc[cj, cols]
-    kinks = inst.r[cols] / (1.0 - ext.delta)
-    weights = inst.w[cols]
+    g, dists, kinks, weights = _ball_budget(inst, ext.cols, inst.cli_pos[client], ext.delta)
     budget = ext.rho * ext.est
-
-    def g(R: float) -> float:
-        active = dists <= ext.delta * R
-        return float(np.sum(weights[active] * np.maximum(R - kinks[active], 0.0)))
-
     cap = float(inst.metric.dist.max()) / ext.delta + ext.rho * ext.est + 1.0
     if g(cap) <= budget + 1e-12:
         return cap  # budget never binds at any relevant radius
@@ -278,19 +297,17 @@ class KnapCandidate:
 
 @dataclass
 class _Rounding:
-    """The EST-free half of a task: the star-balanced split of its LP vertex,
-    the rounding of that split, and the rounded set with its cost."""
+    """The EST-free half of a task: the rounded set of its LP vertex's
+    star-balanced split, and what the EST checks read of that split."""
 
-    bs: BallSystem
-    far: np.ndarray  # copies away from F0
-    stars: np.ndarray  # star costs of the far copies, 0 elsewhere
-    worst: int
-    state: RoundState
-    t: int
-    closed: int | None
     solution: tuple[str, ...]
+    t: int
     total_w: float
     cost: float  # at the alpha'' multiplier
+    worst_star: float  # the largest star cost of a copy away from F0, 0 if none
+    worst_fac: str  # the facility of that copy
+    closed_fac: str | None  # the closed copy's facility, if the copy lies away from F0
+    rerouted: tuple[str, ...]  # C' clients whose final inner ball held that copy
 
 
 def _resolve_fractional(
@@ -324,7 +341,9 @@ def _resolve_fractional(
     return y_star, t, closed
 
 
-def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
+def solve_extended(
+    ext: ExtendedInstance, tau: float, memo: dict | None = None
+) -> KnapCandidate | None:
     """Run the strengthened pipeline on one extended instance.
 
     Returns None when the relaxation is infeasible (the instance is then not
@@ -333,10 +352,11 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
     the task's F0 and EST, if more than two coordinates stay fractional,
     which the basis structure rules out, or if the rounded set breaks the
     pre-selection or the budget. Only the LP, the star-cost cap and the
-    certificates read EST; the split and the rounding do not. So when the
-    decoded vertex and objective equal those of the chain's last rounded
-    task, its rounding is reused from ``ext.memo`` and only the cap check and
-    the certificates are redone.
+    certificates read EST; the split and the rounding do not. ``memo`` is a
+    cache shared by tasks of one (F0, C') pair: it keeps the last rounding,
+    keyed by its vertex, and a task whose decoded vertex, objective and tau
+    match reuses it, redoing only the cap check and the certificates. The
+    result is the same with or without a memo.
     """
     inst = ext.base
     con = inst.constraint
@@ -351,31 +371,30 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
         return None
     U = frac_sol.objective_value
 
+    memo = {} if memo is None else memo
     key = (frac_sol.x.tobytes(), frac_sol.y.tobytes(), float(U).hex(), tau)
-    rnd = ext.memo.get(key)
+    rnd = memo.get(key)
     reused = rnd is not None
     if reused:
-        _check_star_cap(ext, rnd.bs, rnd.stars, rnd.worst)
+        _check_star_cap(ext, rnd.worst_star, rnd.worst_fac)
     else:
         rnd = _round_vertex(frac_sol, ext, tau)
         if rnd is None:
             return None
-        ext.memo.clear()  # one entry: the chain's last vertex
-        ext.memo[key] = rnd
+        memo.clear()  # one entry: the chain's last vertex
+        memo[key] = rnd
 
     certs = [
         Certificate("fractional_residual", float(rnd.t), 2.0, rnd.t <= 2),
         Certificate.leq("solution_weight_le_budget", rnd.total_w, con.budget, tol=1e-7),
     ]
     if ext.cprime:
-        certs.append(Certificate.leq("star_cost_le_2rhoEST", rnd.stars[rnd.worst], ext.star_cap))
-    if rnd.closed is not None and rnd.far[rnd.closed]:
+        certs.append(Certificate.leq("star_cost_le_2rhoEST", rnd.worst_star, ext.star_cap))
+    if rnd.closed_fac is not None:
         # a closed copy co-located with a pre-selected facility reroutes at
         # distance zero; the star-cost cap (and hence these sums) only covers
         # copies away from the pre-selected set
-        certs.extend(
-            _reroute_certificates(ext, rnd.bs, rnd.state, rnd.solution, rnd.closed, tau)
-        )
+        certs.extend(_reroute_certificates(ext, rnd, tau))
 
     return KnapCandidate(
         extended=ext,
@@ -388,11 +407,11 @@ def solve_extended(ext: ExtendedInstance, tau: float) -> KnapCandidate | None:
     )
 
 
-def _check_star_cap(ext: ExtendedInstance, bs: BallSystem, stars: np.ndarray, worst: int):
+def _check_star_cap(ext: ExtendedInstance, worst_star: float, worst_fac: str):
     """Raise InstanceError if the worst far copy's star cost exceeds 2*rho*EST."""
-    if stars[worst] > ext.star_cap + 1e-6:
+    if worst_star > ext.star_cap + 1e-6:
         raise InstanceError(
-            f"copy of {bs.orig[worst]} has star cost {stars[worst]:.6g} above the 2*rho*EST cap"
+            f"copy of {worst_fac} has star cost {worst_star:.6g} above the 2*rho*EST cap"
         )
 
 
@@ -404,7 +423,8 @@ def _round_vertex(frac_sol, ext: ExtendedInstance, tau: float) -> _Rounding | No
     far = ~ext.near_f0[[inst.fac_pos[f] for f in bs.orig]]
     stars = np.where(far, bs.star, 0.0)
     worst = int(np.argmax(stars))
-    _check_star_cap(ext, bs, stars, worst)
+    worst_star, worst_fac = float(stars[worst]), bs.orig[worst]
+    _check_star_cap(ext, worst_star, worst_fac)
     c_arr, r_arr, m_arr = offset_support(bs, inst, ext.cols)
     b, _ = choose_offset(c_arr, r_arr, m_arr, tau)
     dm = DiscretizedMetric(tau, b)
@@ -425,24 +445,26 @@ def _round_vertex(frac_sol, ext: ExtendedInstance, tau: float) -> _Rounding | No
     except RoundingError as exc:
         raise RoundingError(f"knapsack task F0={list(ext.f0)} EST={ext.est!r}: {exc}") from exc
     cost = discounted_cost(inst, solution, knapsack_alpha(tau, ext.delta))
-    return _Rounding(bs, far, stars, worst, state, t, closed, solution, total_w, cost)
+    closed_fac, rerouted = None, ()
+    if closed is not None and far[closed]:
+        closed_fac = bs.orig[closed]
+        rerouted = tuple(j for j in ext.cprime if closed in state.B.get(j, ()))
+    return _Rounding(solution, t, total_w, cost, worst_star, worst_fac, closed_fac, rerouted)
 
 
-def _reroute_certificates(ext, bs, state, solution, closed, tau) -> list[Certificate]:
+def _reroute_certificates(ext: ExtendedInstance, rnd: _Rounding, tau: float) -> list[Certificate]:
     """Rerouting audit for clients whose final inner ball held the closed copy."""
     inst = ext.base
     sigma = knapsack_sigma(tau)
     gamma = ext.delta / (2.0 * sigma + ext.delta)
     eta = sigma + ext.delta
-    closed_orig = bs.orig[closed]
+    closed_orig, solution = rnd.closed_fac, rnd.solution
     d = min(inst.metric.d(closed_orig, f) for f in solution)
     out: list[Certificate] = []
     j1_sum = 0.0
     j2_sum = 0.0
     members_1 = members_2 = 0
-    for j in ext.cprime:
-        if closed not in state.B.get(j, set()):
-            continue
+    for j in rnd.rerouted:
         cj = inst.cli_pos[j]
         c_to_closed = inst.metric.d(j, closed_orig)
         c_to_open = min(inst.metric.d(j, f) for f in solution)
@@ -489,26 +511,22 @@ def _upper_bound_cost(inst: Instance) -> float:
     return best
 
 
-def _saturation_threshold(inst: Instance, cprime: tuple[str, ...], delta: float) -> float:
+def _saturation_threshold(inst: Instance, cols: list[int], delta: float) -> float:
     """Smallest rho*EST at which the strengthened rows all go vacuous.
 
     Above it, no pair is capped out, every star row is implied by the
     coupling rows, and each radius cap clears the farthest facility, so the
     relaxation no longer depends on EST and one solve covers the whole upper
-    tail of the estimate grid (per surviving-client set and F0).
+    tail of the estimate grid (per surviving-client set, whose sorted
+    positions are ``cols``, and F0).
     """
-    if not cprime:
+    if not cols:
         return 0.0
-    cols = [inst.cli_pos[j] for j in cprime]
     contrib = inst.contrib[:, cols]
     thr = max(float(contrib.max(initial=0.0)), float(contrib.sum(axis=1).max(initial=0.0)))
-    kinks = inst.r[cols] / (1.0 - delta)
-    weights = inst.w[cols]
     for col in cols:
-        reach = float(inst.dist_fc[:, col].max())
-        close = inst.dist_cc[col, cols] <= delta * reach
-        g = float(np.sum(weights[close] * np.maximum(reach - kinks[close], 0.0)))
-        thr = max(thr, g)
+        g = _ball_budget(inst, cols, col, delta)[0]
+        thr = max(thr, g(float(inst.dist_fc[:, col].max())))
     return thr
 
 
@@ -525,12 +543,12 @@ def _task_table(
     Each chain holds the tasks of one (F0, C') pair in descending EST. A
     task's ``index`` is its position in the table, whose order breaks ties
     among equal-cost candidates; its ``ests`` are the grid estimates it
-    stands for. The tasks of one chain share one ``memo``.
+    stands for.
     """
     ub = _upper_bound_cost(inst)
     kept_ests = dict.fromkeys(  # distinct, in first-seen order
         est
-        for c0, est in enumerate_estimates(inst, epsilon)
+        for c0, est in enumerate_estimates(inst, epsilon, max_candidates)
         if c0 <= ub + 1e-9 and est <= (1.0 + epsilon) * ub + 1e-9
     )
     structures = sparsify_structures(inst, rho, delta, caps, max_candidates)
@@ -538,22 +556,21 @@ def _task_table(
     # one task per (F0, C', EST) class: above the saturation threshold the LP
     # is EST-independent, so all saturated estimates share one task (key
     # None) solved at the lowest of them; insertion order is the task order
-    thresholds = {cp: _saturation_threshold(inst, cp, delta) for _, cp in structures}
+    thresholds = {
+        cp: _saturation_threshold(inst, _positions(inst, cp), delta)
+        for cp in {cp for _, cp in structures}
+    }
     table: dict[tuple, list[float]] = {}
     for est in kept_ests:
         for f0, cprime in structures:
             saturated = rho * est >= thresholds[cprime] - 1e-12
             table.setdefault((f0, cprime, None if saturated else est), []).append(est)
     rj_caches: dict[tuple, dict[str, float]] = {}
-    memos: dict[tuple, dict] = {}
     chains: dict[tuple, list[ExtendedInstance]] = {}
-    for k, ((f0, cprime, _), task_ests) in enumerate(table.items()):
-        est = min(task_ests)
+    for k, ((f0, cprime, _), ests) in enumerate(table.items()):
+        est = min(ests)
         rj = rj_caches.setdefault((cprime, est), {})
-        memo = memos.setdefault((f0, cprime), {})
-        ext = ExtendedInstance(
-            inst, f0, cprime, rho, delta, est, rj, index=k, ests=tuple(task_ests), memo=memo
-        )
+        ext = ExtendedInstance(inst, f0, cprime, rho, delta, est, rj, index=k, ests=tuple(ests))
         chains.setdefault((f0, cprime), []).append(ext)
     return [sorted(c, key=lambda ext: ext.est, reverse=True) for c in chains.values()]
 
@@ -566,20 +583,14 @@ def _solve_chain(chain: list[ExtendedInstance], tau: float) -> list[KnapCandidat
     term of each star row all relax. So once a task's relaxation is
     infeasible, so is every lower estimate's. The other causes of None, an
     over-budget F0 and an empty task, do not depend on EST at all; the last,
-    an empty rounded set, arose in no solve measured.
-
-    The chain's memo is emptied on return, so the candidates, which keep
-    their tasks, pin no ball system or rounding state.
+    an empty rounded set, arose in no solve measured. The tasks share one memo.
     """
+    memo: dict = {}
     out: list[KnapCandidate | None] = []
-    try:
-        for ext in chain:
-            out.append(solve_extended(ext, tau))
-            if out[-1] is None:
-                break
-    finally:
-        for ext in chain:
-            ext.memo.clear()
+    for ext in chain:
+        out.append(solve_extended(ext, tau, memo))
+        if out[-1] is None:
+            break
     return out
 
 
@@ -613,6 +624,8 @@ def solve_knapmeddis(
         raise InstanceError("rho and delta must lie in (0, 1)")
     if not 0.0 < epsilon < math.inf:
         raise InstanceError(f"epsilon must be finite and positive, got {epsilon}")
+    if jobs < 1:
+        raise InstanceError(f"jobs must be at least 1, got {jobs}")
     for k, cap in enumerate(caps or (), start=1):
         if cap is not None and cap < 0:
             raise InstanceError(f"caps must be nonnegative: cap{k} = {cap}")

@@ -10,6 +10,7 @@ beta*T acceptance test, with T = 0 as the final fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .instance import (
 from .knapsack import solve
 
 EXACT_OUTCOME_GUARD = 1_000_000
+SWEEP_STEP_GUARD = 1_000_000  # sweep steps, about log(diameter) / -log(1 - epsilon)
 # knapsack options of the sweep's solves; rho and delta keep the solver's defaults
 SWEEP_KNAPSACK_OPTIONS = {"epsilon": 0.25}
 
@@ -168,7 +170,8 @@ def solve_stochastic_center(
     """Discount sweep; returns the chosen set and a certified report.
 
     The sweep starts at the metric diameter and scales by (1 - epsilon) while
-    T >= 1 (the normalized minimum distance), with a final T = 0 fallback.
+    T >= 1 (the normalized minimum distance), with a final T = 0 fallback;
+    an epsilon that would take more than SWEEP_STEP_GUARD steps is refused.
     The returned set is the output at the smallest T passing the beta*T test,
     and E[max] <= (alpha + beta) * T_star is evaluated exactly when feasible.
     Each step calls ``solve`` with ``tau`` (None: the family's default) and
@@ -188,11 +191,19 @@ def solve_stochastic_center(
         opts = {**SWEEP_KNAPSACK_OPTIONS, **opts}
 
     diameter = float(base.metric.dist.max())
+    shrink = 1.0 - epsilon  # 1.0 for epsilon below about 1.1e-16
+    if diameter >= 1.0 and (
+        shrink == 1.0 or math.log(diameter) / -math.log(shrink) > SWEEP_STEP_GUARD
+    ):
+        raise InstanceError(
+            f"epsilon={epsilon!r} makes the sweep from T={diameter:.6g} down to 1 "
+            f"longer than {SWEEP_STEP_GUARD} steps"
+        )
     ts: list[float] = []
     t = diameter
     while t >= 1.0:
         ts.append(t)
-        t *= 1.0 - epsilon
+        t *= shrink
     ts.append(0.0)
 
     sweep: list[SweepStep] = []

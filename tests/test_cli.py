@@ -193,13 +193,28 @@ class TestSolveVerify:
                 tiny_instance(knapsack=(1.0, 2.0)), ("--cap2", "-1"),
                 "caps must be nonnegative: cap2 = -1", id="negative-cap",
             ),
+            # 1 + 1e-300 rounds to 1, and 1e-9 asks for a grid of 7e8
+            # estimates: both are counted, not built
+            pytest.param(
+                tiny_instance(knapsack=(1.0, 2.0)), ("--epsilon", "1e-300"),
+                "error: epsilon=1e-300 gives inf estimate pairs", id="epsilon-1e-300",
+            ),
+            pytest.param(
+                tiny_instance(knapsack=(1.0, 2.0)), ("--epsilon", "1e-9"),
+                "error: epsilon=1e-09 gives 6.93e+08 estimate pairs", id="epsilon-1e-9",
+            ),
+            pytest.param(
+                tiny_instance(knapsack=(1.0, 2.0)), ("--jobs", "0"),
+                "error: jobs must be at least 1, got 0", id="jobs-0",
+            ),
         ],
     )
     def test_invariant_violation_exits_1(self, tmp_path, capsys, blob, flags, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))  # NaN and Infinity tokens where given
         assert run_cli("solve", str(bad), *flags) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
 
     def test_lp_failure_exits_1_in_one_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lpcore, "PIVOT_LIMIT", 0)
@@ -270,6 +285,14 @@ class TestStochasticCommand:
         assert rep["guaranteeConstant"] == pytest.approx(
             3 * 1.4 * (rep["alpha"] + rep["beta"])
         )
+
+    def test_tiny_epsilon_exits_1_in_one_line(self, tmp_path, capsys):
+        # 1 - 1e-17 rounds to 1, so the sweep's T would never shrink
+        inst_path = tmp_path / "st.json"
+        inst_path.write_text(json.dumps(stochastic_to_json(generate_stochastic(3, 3, seed=1))))
+        assert run_cli("stochastic", str(inst_path), "--epsilon", "1e-17") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon=1e-17 makes the sweep") and err.count("\n") == 1
 
     def test_guarded_exact_evaluation_falls_back_to_montecarlo(self, tmp_path, monkeypatch):
         # the solver alone decides exact vs Monte-Carlo; the CLI follows its report

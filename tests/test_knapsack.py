@@ -1,15 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from discmed import instance as I
 from discmed import knapsack
-from discmed.fractional import duplicate_star_balanced, solve_natural, star_costs
+from discmed.fractional import BallSystem, duplicate_star_balanced, solve_natural, star_costs
 from discmed.instance import Knapsack, discounted_cost, generate
-from discmed.iterround import RoundingError
+from discmed.iterround import RoundingError, RoundState
 from discmed.knapsack import (
     ExtendedInstance,
     SparsifyGuard,
@@ -37,6 +39,17 @@ def knap_instance(seed=0, nf=3, nc=4, scale=0.4):
 def plain_extended(inst, est, rho=0.5, delta=2 / 3, f0=(), removed=()):
     cprime = tuple(j for j in inst.clients if j not in removed)
     return ExtendedInstance(inst, tuple(f0), cprime, rho, delta, est)
+
+
+def candidate_facts(cand):
+    """A candidate's set, LP objective, cost, residual and certificates, bit for bit."""
+    return (
+        cand.solution,
+        float(cand.lp_objective).hex(),
+        float(cand.true_discounted_cost).hex(),
+        cand.fractional_residual,
+        [(c.name, float(c.lhs).hex(), float(c.rhs).hex(), c.holds) for c in cand.certificates],
+    )
 
 
 class TestEnumerateEstimates:
@@ -68,6 +81,22 @@ class TestEnumerateEstimates:
             eps = 0.25
             pairs = enumerate_estimates(inst, eps)
             assert any(opt - 1e-9 <= est <= (1 + eps) * opt + 1e-9 for _, est in pairs)
+
+    @pytest.mark.parametrize("eps, count", [(1e-300, "inf"), (1e-9, "6.59e+09")])
+    def test_tiny_epsilon_is_refused_before_the_grid_is_built(self, eps, count):
+        # 1 + 1e-300 rounds to 1, so the grid never grows, and 1e-9 asks for
+        # billions of pairs; both are counted, not built
+        inst = knap_instance(seed=1, nf=2, nc=3)
+        message = rf"epsilon={eps!r} gives {re.escape(count)} estimate pairs, above the cap 200000"
+        with pytest.raises(SparsifyGuard, match=message):
+            enumerate_estimates(inst, eps)
+
+    def test_grid_is_counted_exactly(self):
+        inst = knap_instance(seed=1, nf=2, nc=3)
+        pairs = enumerate_estimates(inst, 0.25)
+        assert enumerate_estimates(inst, 0.25, max_candidates=len(pairs)) == pairs
+        with pytest.raises(SparsifyGuard):
+            enumerate_estimates(inst, 0.25, max_candidates=len(pairs) - 1)
 
 
 class TestComputeRj:
@@ -402,6 +431,25 @@ class TestSolveExtended:
             assert sum(w[f] for f in cand.solution) <= inst.constraint.budget + 1e-7
             assert all(c.holds for c in cand.certificates)
 
+    def test_shared_memo_reuses_a_repeated_vertex(self):
+        # EST 60 and 50 of one (F0, C') pair return the same vertex: with one
+        # shared memo the second task reuses the first one's rounding, without
+        # a memo neither does, and both ways give the same candidates
+        inst = knap_instance(seed=1, nf=3, nc=4)
+        tasks = [plain_extended(inst, est=est) for est in (60.0, 50.0)]
+        memo = {}
+        shared = [solve_extended(ext, 1.9, memo) for ext in tasks]
+        alone = [solve_extended(ext, 1.9) for ext in tasks]
+        assert [cand.reused for cand in shared] == [False, True]
+        assert [cand.reused for cand in alone] == [False, False]
+        assert list(map(candidate_facts, shared)) == list(map(candidate_facts, alone))
+        # the memo keeps one small record: no ball system, rounding state or array
+        (rnd,) = memo.values()
+        assert rnd.closed_fac is not None and rnd.rerouted
+        for f in dataclasses.fields(rnd):
+            value = getattr(rnd, f.name)
+            assert not isinstance(value, (BallSystem, RoundState, np.ndarray)), f.name
+
     def test_unit_volume_within_radial_bound(self):
         # every surviving client sees unit opened mass within the level radius
         from discmed.discretize import DiscretizedMetric
@@ -467,8 +515,8 @@ class TestSolveKnapMedDis:
         # candidate's, losers included, through the task solver
         certs = []
 
-        def recording(ext, tau):
-            cand = solve_extended(ext, tau)
+        def recording(ext, tau, memo=None):
+            cand = solve_extended(ext, tau, memo)
             if cand is not None:
                 certs.extend(cand.certificates)
             return cand
@@ -494,9 +542,9 @@ class TestSolveKnapMedDis:
         inst = knap_instance(seed=seed, nf=nf, nc=nc)
         solved = set()
 
-        def recording(ext, tau):
+        def recording(ext, tau, memo=None):
             solved.add((ext.f0, ext.cprime, ext.est))
-            return solve_extended(ext, tau)
+            return solve_extended(ext, tau, memo)
 
         monkeypatch.setattr(knapsack, "solve_extended", recording)
         rep = solve_knapmeddis(inst, tau=tau, rho=rho, delta=delta, epsilon=eps)
@@ -540,8 +588,8 @@ class TestSolveKnapMedDis:
     def test_reused_rounding_is_byte_identical(self, monkeypatch, nf, nc, seed):
         # a task whose LP returns its chain's last vertex reuses that task's
         # split and rounding; each candidate must equal a solve of its task
-        # with the memo emptied, and the split and the rounding run once per
-        # task that was not reused
+        # without a memo, and the split and the rounding run once per task
+        # that was not reused
         tau, rho, delta, eps = 1.9, 0.5, 2 / 3, 0.25
         inst = knap_instance(seed=seed, nf=nf, nc=nc)
         calls = {"duplicate_star_balanced": 0, "iter_round": 0}
@@ -556,8 +604,8 @@ class TestSolveKnapMedDis:
 
             return wrapped
 
-        def recording(ext, tau):
-            cand = solve_extended(ext, tau)
+        def recording(ext, tau, memo=None):
+            cand = solve_extended(ext, tau, memo)
             if cand is not None:
                 recorded[ext.index] = cand
             return cand
@@ -572,20 +620,6 @@ class TestSolveKnapMedDis:
         assert 0 < reused <= feasible == len(recorded)
         assert sum(cand.reused for cand in recorded.values()) == reused
         assert calls == dict.fromkeys(calls, feasible - reused)
-        # the memo is emptied when its chain returns, so no candidate pins a rounding
-        assert all(cand.extended.memo == {} for cand in recorded.values())
-
-        def facts(cand):
-            return (
-                cand.solution,
-                float(cand.lp_objective).hex(),
-                float(cand.true_discounted_cost).hex(),
-                cand.fractional_residual,
-                [
-                    (c.name, float(c.lhs).hex(), float(c.rhs).hex(), c.holds)
-                    for c in cand.certificates
-                ],
-            )
 
         chains = knapsack._task_table(
             I.normalize(inst), rho, delta, eps, knapsack.theoretical_caps(rho, delta),
@@ -593,15 +627,29 @@ class TestSolveKnapMedDis:
         )
         cold = {}
         for ext in (ext for chain in chains for ext in chain):
-            ext.memo.clear()
             cand = solve_extended(ext, tau)
             if cand is not None:
                 assert not cand.reused
-                cold[ext.index] = facts(cand)
-        assert cold == {k: facts(cand) for k, cand in recorded.items()}
+                cold[ext.index] = candidate_facts(cand)
+        assert cold == {k: candidate_facts(cand) for k, cand in recorded.items()}
+
+    def test_permuted_client_ids_report_is_pinned(self):
+        # client ids that do not sort like their positions, and non-unit
+        # weights: the radius caps and saturation thresholds sum over C' in
+        # position order, which moves four of this instance's radius caps by
+        # one ulp from a sum in id order; the report keeps the digest it had
+        # when the radius caps summed in id order
+        inst = knap_instance(seed=3, nf=3, nc=4)
+        weights = {j: 0.5 + 0.75 * k for k, j in enumerate(inst.clients)}
+        inst = dataclasses.replace(
+            inst, clients=tuple(reversed(inst.clients)), client_weights=weights
+        )
+        rep = solve_knapmeddis(inst, tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25)
+        blob = json.dumps(rep.to_json(), sort_keys=True).encode()
+        assert hashlib.sha1(blob).hexdigest() == "f1c98c3a31accb9435cdcfa2a67c0c14c6f56ede"
 
     def test_no_candidate_names_the_task_count(self, monkeypatch):
-        monkeypatch.setattr(knapsack, "solve_extended", lambda ext, tau: None)
+        monkeypatch.setattr(knapsack, "solve_extended", lambda ext, tau, memo=None: None)
         with pytest.raises(
             RoundingError, match=r"knapsack selection: none of the \d+ extended instances"
         ):

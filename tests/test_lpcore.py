@@ -302,12 +302,12 @@ def _aux_lp_digest(monkeypatch, run) -> str:
 
 def _knapsack_rounding_every_task():
     # a task that returns its chain's last vertex reuses that vertex's
-    # rounding and solves no auxiliary LP; emptying the memo before each task
-    # rounds every feasible task, so the digest keeps covering all their LPs
+    # rounding and solves no auxiliary LP; solving each task without the
+    # chain's memo rounds every feasible task, so the digest keeps covering
+    # all their LPs
     solve_extended = knapsack.solve_extended
 
-    def fresh(ext, tau):
-        ext.memo.clear()
+    def fresh(ext, tau, memo=None):
         return solve_extended(ext, tau)
 
     with pytest.MonkeyPatch.context() as mp:

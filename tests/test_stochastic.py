@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from discmed import instance as I
+from discmed import stochastic
 from discmed.iterround import bicriteria_factors
 from discmed.knapsack import knapsack_alpha, knapsack_est_coefficient
 from discmed.oracle import brute_opt, brute_stochastic_opt
@@ -188,6 +189,18 @@ class TestSweep:
             opt = brute_stochastic_opt(st)
             assert eval_expected_max(st, S) <= rep.guarantee_constant * opt.value + 1e-9
             assert st.base.constraint.spec.is_independent(S)
+
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-12])
+    def test_tiny_epsilon_is_refused_before_the_sweep(self, monkeypatch, epsilon):
+        # 1 - 1e-17 rounds to 1, so T never shrinks, and 1e-12 asks for about
+        # 2e12 steps; the sweep's length is counted before any step is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a sweep step ran")
+
+        monkeypatch.setattr(stochastic, "solve", no_solve)
+        st = generate_stochastic(4, 3, kind="uniform", seed=2)
+        with pytest.raises(I.InstanceError, match=rf"epsilon={epsilon!r} makes the sweep"):
+            solve_stochastic_center(st, tau=1.985, epsilon=epsilon)
 
     def test_zero_distance_cover_returns_zero(self):
         # a facility on top of every client: T = 0 fallback must win exactly
