@@ -19,6 +19,7 @@ from .instance import (
     dump,
     from_json,
     generate,
+    seeded_rng,
     to_json,
 )
 from .iterround import RoundingError
@@ -129,6 +130,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stochastic(args) -> int:
+    seeded_rng(args.seed)  # the Monte-Carlo fallback's seed is refused before the sweep
     stoch = stochastic_from_json(_load_json(args.instance))
     solution, rep = solve_stochastic_center(
         stoch,

@@ -176,9 +176,19 @@ def decode(nat: NaturalLP, inst: Instance, res: BasicOptimal) -> FractionalSolut
     return FractionalSolution(x=x, y=y, objective_value=res.objective_value)
 
 
-def solve_natural(inst: Instance, extended=None) -> FractionalSolution:
+def solve_natural(inst: Instance, extended=None, warm: dict | None = None) -> FractionalSolution:
+    """Optimal vertex of the natural LP, decoded.
+
+    ``warm`` is a cache handle for re-solves of the same rows: the LP starts
+    from ``warm["basis"]`` when it holds one, and its final basis is stored
+    there. Without a handle the LP is solved cold.
+    """
     nat = build_natural_lp(inst, extended)
-    return decode(nat, inst, solve(nat.lp))
+    if warm is None:
+        return decode(nat, inst, solve(nat.lp))
+    res = solve(nat.lp, warm.get("basis"))
+    warm["basis"] = res.basis
+    return decode(nat, inst, res)
 
 
 def make_distance_optimal(sol: FractionalSolution, inst: Instance) -> FractionalSolution:

@@ -425,6 +425,14 @@ def checked(inst: Instance) -> Instance:
     return inst
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, with InstanceError for a seed it refuses."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"seed must be a non-negative integer, got {seed!r}") from exc
+
+
 def generate(
     n_facilities: int,
     n_clients: int,
@@ -438,7 +446,7 @@ def generate(
     """
     if n_facilities < 1 or n_clients < 1:
         raise InstanceError("generate: counts must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     fids = tuple(f"f{k:02d}" for k in range(n_facilities))
     cids = tuple(f"c{k:02d}" for k in range(n_clients))
     coords = {p: tuple(rng.uniform(0.0, 10.0, size=2)) for p in fids + cids}

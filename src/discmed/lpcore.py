@@ -83,11 +83,19 @@ class BasicOptimal:
     ``basis_certificate`` lists exactly ``n_vars`` linearly independent tight
     conditions: ("row", r) for a constraint satisfied with equality, or
     ("lo", j) / ("hi", j) for a variable at a bound.
+
+    ``basis`` is the final basis over the structural and slack columns: the
+    basic column of each row and the signed ``side`` array (+1 nonbasic at
+    the lower bound, -1 at the upper bound, 0 basic). It is None when phase
+    1 dropped a redundant row. ``pivots`` counts the basis changes of phase 1
+    and of phase 2; bound flips and phase-1 drive-out pivots are not counted.
     """
 
     values: np.ndarray
     objective_value: float
     basis_certificate: list[tuple[str, int]]
+    basis: tuple[np.ndarray, np.ndarray] | None = None
+    pivots: tuple[int, int] = (0, 0)
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -131,8 +139,66 @@ def _redundant_rows(deps: np.ndarray, art_rows: list[int], rels: list[str], drop
     return out
 
 
-def solve(lp: LinearProgram) -> BasicOptimal:
-    """Optimal vertex of ``lp``; raises InfeasibleLP / UnboundedLP otherwise."""
+def _columns(A: np.ndarray, slack_of_row: dict, slack_sign: dict, n_cols: int) -> np.ndarray:
+    """An m x n_cols array holding A, then the slack columns, then zeros."""
+    T = np.zeros((A.shape[0], n_cols))
+    T[:, : A.shape[1]] = A
+    for i, s in slack_of_row.items():
+        T[i, s] = slack_sign[i]
+    return T
+
+
+def _restart(A, slack_of_row, slack_sign, b, lo, hi, start):
+    """Reduced tableau ``B^-1 [A | S]``, basis, sides, basic values and the
+    column bounds of ``start``.
+
+    The basic columns are pivoted in by the simplex's own ``_pivot``, each on
+    its largest remaining entry, so they end as exact unit columns. Returns
+    None when ``start`` does not fit these rows, when its basis matrix is
+    singular (a pivot no larger than PIVOT_TOL), or when a basic value lies
+    off its bounds by more than FEAS_TOL.
+    """
+    m, N = len(b), len(lo) + len(slack_of_row)
+    lob = np.concatenate([lo, np.zeros(N - len(lo))])
+    upb = np.concatenate([hi, np.full(N - len(lo), np.inf)])
+    basis = np.array(start[0], dtype=np.int64)
+    side = np.array(start[1], dtype=float)
+    if (
+        basis.shape != (m,)
+        or side.shape != (N,)
+        or not np.array_equal(np.sort(basis), np.flatnonzero(side == 0.0))
+        or not np.isin(side, (-1.0, 0.0, 1.0)).all()
+        or ((side < 0) & (upb == np.inf)).any()
+    ):
+        return None
+    x = np.where(side < 0, upb, lob)
+    x[basis] = 0.0
+    T = _columns(A, slack_of_row, slack_sign, N + 1)
+    T[:, N] = b - T[:, :N] @ x  # carried through the pivots: becomes the basic values
+    free = np.ones(m, dtype=bool)
+    for j in basis.tolist():
+        col = np.where(free, np.abs(T[:, j]), 0.0)
+        r = int(col.argmax())
+        if col[r] <= PIVOT_TOL:
+            return None  # singular, as the simplex's own pivot test judges it
+        _pivot(T, r, j)
+        basis[r] = j
+        free[r] = False
+    xB = T[:, N].copy()
+    T = np.ascontiguousarray(T[:, :N])
+    if (xB < lob[basis] - FEAS_TOL).any() or (xB > upb[basis] + FEAS_TOL).any():
+        return None
+    return T, basis, side, xB, lob, upb
+
+
+def solve(lp: LinearProgram, start=None) -> BasicOptimal:
+    """Optimal vertex of ``lp``; raises InfeasibleLP / UnboundedLP otherwise.
+
+    ``start`` is the ``basis`` of an earlier result, typically of the same
+    rows under another objective. When it is a primal feasible basis of
+    ``lp``, phase 1 is skipped and phase 2 starts from it; otherwise (see
+    ``_restart``) the solve is cold, exactly as without a start.
+    """
     n = lp.n_vars
     lo = np.asarray(lp.lo, float).copy()
     hi = np.asarray(lp.hi, float).copy()
@@ -156,52 +222,54 @@ def solve(lp: LinearProgram) -> BasicOptimal:
             slack_sign[i] = 1.0 if rel == "<=" else -1.0
     n_slack = len(slack_of_row)
 
-    # start structurals at the bound closest to zero
-    x0 = np.where(np.abs(lo) <= np.abs(hi), lo, hi)
-    resid = b - A @ x0 if m else np.zeros(0)
+    begun = None if start is None else _restart(A, slack_of_row, slack_sign, b, lo, hi, start)
+    if begun is not None:
+        T, basis, side, xB, lob, upb = begun
+        n_art = 0
+    else:
+        # start structurals at the bound closest to zero
+        x0 = np.where(np.abs(lo) <= np.abs(hi), lo, hi)
+        resid = b - A @ x0 if m else np.zeros(0)
 
-    basis = np.empty(m, dtype=np.int64)
-    need_art = []
-    for i in range(m):
-        if i in slack_of_row:
-            sval = resid[i] * slack_sign[i]
-            if sval >= 0.0:
-                basis[i] = slack_of_row[i]
-                continue
-        need_art.append(i)
-    n_art = len(need_art)
+        basis = np.empty(m, dtype=np.int64)
+        need_art = []
+        for i in range(m):
+            if i in slack_of_row:
+                sval = resid[i] * slack_sign[i]
+                if sval >= 0.0:
+                    basis[i] = slack_of_row[i]
+                    continue
+            need_art.append(i)
+        n_art = len(need_art)
+
+        T = _columns(A, slack_of_row, slack_sign, n + n_slack + n_art)
+        for k, i in enumerate(need_art):
+            col = n + n_slack + k
+            T[i, col] = 1.0 if resid[i] >= 0 else -1.0
+            basis[i] = col
+        for i in range(m):
+            piv = T[i, basis[i]]
+            if piv != 1.0:
+                T[i, :] /= piv  # reduced form needs +1 on the basic column
+
+        lob = np.concatenate([lo, np.zeros(n_slack + n_art)])
+        upb = np.concatenate([hi, np.full(n_slack + n_art, np.inf)])
+        # +1 nonbasic at lob, -1 nonbasic at upb, 0 basic; structurals start at
+        # the bound nearest zero
+        side = np.ones(n + n_slack + n_art)
+        side[:n] = np.where(x0 == lo, 1.0, -1.0)
+        xB = np.empty(m)
+        for i in range(m):
+            v = basis[i]
+            if v < n + n_slack:
+                xB[i] = resid[i] * slack_sign[i]
+            else:
+                xB[i] = abs(resid[i])
+            side[v] = 0.0
     N = n + n_slack + n_art
 
-    T = np.zeros((m, N))
-    T[:, :n] = A
-    for i, s in slack_of_row.items():
-        T[i, s] = slack_sign[i]
-    for k, i in enumerate(need_art):
-        col = n + n_slack + k
-        T[i, col] = 1.0 if resid[i] >= 0 else -1.0
-        basis[i] = col
-    for i in range(m):
-        piv = T[i, basis[i]]
-        if piv != 1.0:
-            T[i, :] /= piv  # reduced form needs +1 on the basic column
-
-    lob = np.concatenate([lo, np.zeros(n_slack + n_art)])
-    upb = np.concatenate([hi, np.full(n_slack + n_art, np.inf)])
-    # +1 nonbasic at lob, -1 nonbasic at upb, 0 basic; structurals start at
-    # the bound nearest zero
-    side = np.ones(N)
-    side[:n] = np.where(x0 == lo, 1.0, -1.0)
-    xB = np.empty(m)
-    for i in range(m):
-        v = basis[i]
-        if v < n + n_slack:
-            xB[i] = resid[i] * slack_sign[i]
-        else:
-            xB[i] = abs(resid[i])
-        side[v] = 0.0
-
-    def run(cost: np.ndarray, phase: int) -> None:
-        """Bland pivoting until optimal/unbounded.
+    def run(cost: np.ndarray, phase: int) -> int:
+        """Bland pivoting until optimal/unbounded; returns the basis changes.
 
         The reduced costs ``zrow`` are updated by one row operation per basis
         change (a bound flip leaves them unchanged) and computed afresh from
@@ -211,11 +279,12 @@ def solve(lp: LinearProgram) -> BasicOptimal:
         movable = lob < upb
         zrow = cost - cost[basis] @ T
         fresh = True
+        pivots = 0
         for _ in range(PIVOT_LIMIT):
             eligible = movable & (side * zrow < -FEAS_TOL)
             if not eligible.any():
                 if fresh:
-                    return
+                    return pivots
                 zrow = cost - cost[basis] @ T
                 fresh = True
                 continue
@@ -249,6 +318,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
             _pivot(T, leave_row, enter)
             zrow -= zrow[enter] * T[leave_row]
             fresh = False
+            pivots += 1
             basis[leave_row] = enter
             side[enter] = 0.0
             side[out_var] = 1.0 if ci[leave_row] > 0 else -1.0
@@ -259,10 +329,11 @@ def solve(lp: LinearProgram) -> BasicOptimal:
 
     # phase 1: drive artificials to zero
     redundant: set[int] = set()
+    phase1 = 0
     if n_art:
         cost1 = np.zeros(N)
         cost1[n + n_slack :] = 1.0
-        run(cost1, 1)
+        phase1 = run(cost1, 1)
         art_basic = basis >= n + n_slack
         residual = float(xB[art_basic].sum())
         if residual > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
@@ -305,7 +376,7 @@ def solve(lp: LinearProgram) -> BasicOptimal:
     # phase 2
     cost2 = np.zeros(N)
     cost2[:n] = lp.objective
-    run(cost2, 2)
+    phase2 = run(cost2, 2)
 
     x = np.where(side < 0, upb, lob)
     x[basis] = xB
@@ -349,4 +420,6 @@ def solve(lp: LinearProgram) -> BasicOptimal:
         values=values,
         objective_value=float(lp.objective @ values),
         basis_certificate=cert,
+        basis=None if m < len(rels) else (basis, side),
+        pivots=(phase1, phase2),
     )

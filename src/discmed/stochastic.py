@@ -23,13 +23,14 @@ from .instance import (
     from_json,
     generate,
     normalize,
+    seeded_rng,
     to_json,
     validate,
 )
 from .knapsack import solve
 
 EXACT_OUTCOME_GUARD = 1_000_000
-SWEEP_STEP_GUARD = 1_000_000  # sweep steps, about log(diameter) / -log(1 - epsilon)
+SWEEP_STEP_GUARD = 10_000  # sweep steps, about log(diameter) / -log(1 - epsilon)
 # knapsack options of the sweep's solves; rho and delta keep the solver's defaults
 SWEEP_KNAPSACK_OPTIONS = {"epsilon": 0.25}
 
@@ -115,7 +116,7 @@ def eval_expected_max(stoch: StochasticInstance, chosen, mode="exact") -> float:
     kind, n_samples, seed = mode
     if kind != "montecarlo":
         raise InstanceError(f"unknown evaluation mode {mode!r}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     best = np.zeros(n_samples)
     for pt in stoch.points:
         locs = sorted(pt.dist)
@@ -176,6 +177,9 @@ def solve_stochastic_center(
     and E[max] <= (alpha + beta) * T_star is evaluated exactly when feasible.
     Each step calls ``solve`` with ``tau`` (None: the family's default) and
     ``knap_options``; a knapsack base starts from SWEEP_KNAPSACK_OPTIONS.
+    A cardinality or matroid base passes one ``warm`` handle through the
+    whole sweep, so each natural LP starts from the last step's basis; a
+    knapsack base stays cold, since its extended LPs change shape with T.
     """
     if not 0.0 < epsilon < 1.0:
         raise InstanceError("epsilon must lie in (0, 1)")
@@ -189,6 +193,8 @@ def solve_stochastic_center(
     opts = dict(knap_options or {})
     if isinstance(base.constraint, Knapsack):
         opts = {**SWEEP_KNAPSACK_OPTIONS, **opts}
+    else:
+        opts["warm"] = {}  # only the natural LP's objective moves with T
 
     diameter = float(base.metric.dist.max())
     shrink = 1.0 - epsilon  # 1.0 for epsilon below about 1.1e-16
@@ -255,7 +261,7 @@ def generate_stochastic(
     with a nonzero optimum has optimum at least that floor; the sweep's unit
     stopping threshold then cannot void the certified constant.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if n_clients is None:
         n_clients = max(2, n_points + int(rng.integers(0, 3)))
     n_clients = max(2, n_clients)

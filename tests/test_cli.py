@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -61,6 +62,12 @@ class TestGen:
                 "--kind", kind, "--seed", "1", "--out", str(out),
             ) == 0
             assert out.exists()
+
+    def test_negative_seed_exits_1_in_one_line(self, capsys):
+        assert run_cli("gen", "--facilities", "2", "--clients", "2", "--seed", "-1") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
 
 
 class TestSolveVerify:
@@ -293,6 +300,32 @@ class TestStochasticCommand:
         assert run_cli("stochastic", str(inst_path), "--epsilon", "1e-17") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: epsilon=1e-17 makes the sweep") and err.count("\n") == 1
+
+    def test_long_sweep_exits_1_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # diameter 7.9 at epsilon 1e-5 is about 2e5 steps, each a full solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a sweep step ran")
+
+        monkeypatch.setattr(stochastic, "solve", no_solve)
+        inst_path = tmp_path / "st.json"
+        inst_path.write_text(json.dumps(stochastic_to_json(generate_stochastic(3, 3, seed=1))))
+        start = time.perf_counter()
+        assert run_cli("stochastic", str(inst_path), "--epsilon", "1e-5") == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon=1e-05 makes the sweep") and err.count("\n") == 1
+
+    def test_negative_seed_exits_1_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # the seed is read only by the Monte-Carlo fallback, after the sweep
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a sweep step ran")
+
+        monkeypatch.setattr(stochastic, "solve", no_solve)
+        inst_path = tmp_path / "st.json"
+        inst_path.write_text(json.dumps(stochastic_to_json(generate_stochastic(4, 3, seed=2))))
+        assert run_cli("stochastic", str(inst_path), "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_guarded_exact_evaluation_falls_back_to_montecarlo(self, tmp_path, monkeypatch):
         # the solver alone decides exact vs Monte-Carlo; the CLI follows its report

@@ -230,6 +230,28 @@ def highs(lp: LinearProgram):
     )
 
 
+def assert_certified(lp: LinearProgram, res) -> None:
+    """The certificate lists n independent conditions, each tight at the values."""
+    n = lp.n_vars
+    mat = certificate_matrix(lp, res.basis_certificate)
+    assert mat.shape[0] == n
+    assert np.linalg.matrix_rank(mat, tol=1e-8) == n
+    bound = {"lo": lp.lo, "hi": lp.hi}
+    for kind, idx in res.basis_certificate:
+        if kind == "row":
+            assert lp.row_coeffs[idx] @ res.values == pytest.approx(lp.row_rhs[idx], abs=1e-7)
+        else:
+            assert res.values[idx] == pytest.approx(bound[kind][idx], abs=1e-7)
+
+
+def with_objective(lp: LinearProgram, objective) -> LinearProgram:
+    """The rows and bounds of ``lp`` under another objective."""
+    out = LinearProgram(lp.n_vars, objective=objective, lo=lp.lo, hi=lp.hi)
+    for a, rel, rhs in zip(lp.row_coeffs, lp.row_rel, lp.row_rhs):
+        out.add_row(a, rel, rhs)
+    return out
+
+
 @given(
     n=st.integers(min_value=1, max_value=6),
     m=st.integers(min_value=0, max_value=12),
@@ -237,27 +259,101 @@ def highs(lp: LinearProgram):
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_degenerate_lps_return_certified_vertices(n, m, seed):
-    lp = degenerate_lp(np.random.default_rng(seed), n, m)
+    rng = np.random.default_rng(seed)
+    lp = degenerate_lp(rng, n, m)
     try:
         res = solve(lp)
     except InfeasibleLP:
         res = None
     else:
-        mat = certificate_matrix(lp, res.basis_certificate)
-        assert mat.shape[0] == n
-        assert np.linalg.matrix_rank(mat, tol=1e-8) == n
-        bound = {"lo": lp.lo, "hi": lp.hi}
-        for kind, idx in res.basis_certificate:
-            if kind == "row":
-                assert lp.row_coeffs[idx] @ res.values == pytest.approx(lp.row_rhs[idx], abs=1e-7)
-            else:
-                assert res.values[idx] == pytest.approx(bound[kind][idx], abs=1e-7)
+        assert_certified(lp, res)
+        # warm: from the final basis of the same rows under a perturbed objective
+        other = solve(with_objective(lp, lp.objective + rng.integers(-1, 2, size=n)))
+        warm = solve(lp, other.basis) if other.basis is not None else None
+        if warm is not None:
+            assert warm.pivots[0] == 0
+            assert_certified(lp, warm)
     if linprog is None:
         return
     ref = highs(lp)
     assert ref.status == (2 if res is None else 0), ref.message
     if res is not None:
         assert res.objective_value == pytest.approx(ref.fun, abs=1e-7)
+        if warm is not None:
+            assert warm.objective_value == pytest.approx(ref.fun, abs=1e-7)
+
+
+def same_result(a, b) -> bool:
+    """Byte-identical values and objective, and the same certificate, basis and pivots."""
+    return (
+        a.values.tobytes() == b.values.tobytes()
+        and float(a.objective_value).hex() == float(b.objective_value).hex()
+        and a.basis_certificate == b.basis_certificate
+        and a.basis[0].tobytes() == b.basis[0].tobytes()
+        and a.basis[1].tobytes() == b.basis[1].tobytes()
+        and a.pivots == b.pivots
+    )
+
+
+def two_row_lp() -> LinearProgram:
+    """x0 + x1 <= 1 (slack column 2) and x0 + x1 >= 0.5 (slack column 3)."""
+    lp = LinearProgram(2, objective=[-1.0, -2.0])
+    lp.add_row([1.0, 1.0], "<=", 1.0)
+    lp.add_row([1.0, 1.0], ">=", 0.5)
+    return lp
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        (np.array([2]), np.array([1.0, 1.0, 0.0])),  # one row short
+        (np.array([2, 3]), np.array([1.0, 1.0, 0.0])),  # side one column short
+        (np.array([2, 2]), np.array([1.0, 1.0, 0.0, 1.0])),  # a column basic twice
+        (np.array([2, 3]), np.array([1.0, 0.5, 0.0, 0.0])),  # a side that is no bound
+        (np.array([0, 3]), np.array([0.0, 1.0, -1.0, 0.0])),  # a slack at its infinite bound
+        (np.array([0, 1]), np.array([0.0, 0.0, 1.0, 1.0])),  # B = [[1, 1], [1, 1]]: singular
+        (np.array([2, 3]), np.array([-1.0, -1.0, 0.0, 0.0])),  # x = (1, 1): row 0's slack is -1
+    ],
+    ids=["short-basis", "short-side", "repeated", "no-bound", "infinite-bound", "singular",
+         "infeasible"],
+)
+def test_unusable_start_solves_cold(start):
+    lp = two_row_lp()
+    cold = solve(lp)
+    assert cold.pivots[0] > 0  # the >= row needs an artificial, so phase 1 runs
+    assert same_result(solve(lp, start), cold)
+
+
+def test_ill_conditioned_start_solves_cold():
+    # B = [[1, 1], [1, 1 + 1e-12]] has an inverse, but not one to trust
+    lp = LinearProgram(2, objective=[-1.0, -2.0])
+    lp.add_row([1.0, 1.0], "<=", 1.0)
+    lp.add_row([1.0, 1.0 + 1e-12], ">=", 1.0)  # x = (1, 0) is feasible at this basis
+    start = (np.array([0, 1]), np.array([0.0, 0.0, 1.0, 1.0]))
+    assert same_result(solve(lp, start), solve(lp))
+
+
+def test_start_from_another_objective_skips_phase_1():
+    # the seeded 8x20 cardinality natural LP, re-solved after its objective
+    # is scaled and shifted as a sweep's discount moves it
+    lp = build_natural_lp(generate(8, 20, kind="cardinality", seed=1)).lp
+    first = solve(lp)
+    moved = with_objective(lp, np.maximum(lp.objective - 0.5, 0.0) * 1.5)
+    cold = solve(moved)
+    warm = solve(moved, first.basis)
+    assert first.pivots[0] > 0 and cold.pivots[0] > 0
+    assert warm.pivots[0] == 0 and sum(warm.pivots) < sum(cold.pivots)
+    assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+    assert_certified(moved, warm)
+    # the final basis of a warm solve restarts itself without a pivot
+    assert solve(moved, warm.basis).pivots == (0, 0)
+
+
+def test_basis_is_none_after_a_dropped_row():
+    lp = LinearProgram(2, objective=[1.0, 2.0])
+    lp.add_row([1.0, 1.0], "=", 1.0)
+    lp.add_row([2.0, 2.0], "=", 2.0)  # twice row 0: phase 1 drops one
+    assert solve(lp).basis is None
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from discmed import fractional, knapsack, stochastic
 from discmed import instance as I
-from discmed import stochastic
 from discmed.iterround import bicriteria_factors
 from discmed.knapsack import knapsack_alpha, knapsack_est_coefficient
 from discmed.oracle import brute_opt, brute_stochastic_opt
@@ -85,6 +85,14 @@ class TestEvalExpectedMax:
             # crude per-sample variance bound: values lie in [0, diameter]
             diam = float(st.base.metric.dist.max())
             assert abs(mc - exact) <= 3.0 * diam / math.sqrt(n) + 1e-9
+
+    def test_negative_seed_is_an_input_error(self):
+        st = generate_stochastic(3, 3, seed=1)
+        S = (st.base.facilities[0],)
+        with pytest.raises(I.InstanceError, match=r"seed must be a non-negative integer, got -1"):
+            eval_expected_max(st, S, mode=("montecarlo", 10, -1))
+        with pytest.raises(I.InstanceError, match=r"seed must be a non-negative integer, got -1"):
+            generate_stochastic(3, 3, seed=-1)
 
     def test_monte_carlo_deterministic_per_seed(self):
         st = generate_stochastic(3, 3, seed=1)
@@ -190,10 +198,11 @@ class TestSweep:
             assert eval_expected_max(st, S) <= rep.guarantee_constant * opt.value + 1e-9
             assert st.base.constraint.spec.is_independent(S)
 
-    @pytest.mark.parametrize("epsilon", [1e-17, 1e-12])
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-12, 1e-5])
     def test_tiny_epsilon_is_refused_before_the_sweep(self, monkeypatch, epsilon):
-        # 1 - 1e-17 rounds to 1, so T never shrinks, and 1e-12 asks for about
-        # 2e12 steps; the sweep's length is counted before any step is solved
+        # 1 - 1e-17 rounds to 1, so T never shrinks, 1e-12 asks for about
+        # 2e12 steps and 1e-5 for about 2.5e5, each a full solve; the sweep's
+        # length is counted before any step is solved
         def no_solve(*args, **kwargs):
             raise AssertionError("a sweep step ran")
 
@@ -229,6 +238,39 @@ def exact_bernoulli_max_mean(s: np.ndarray, p: np.ndarray) -> float:
         total += sk * pk * miss
         miss *= 1.0 - pk
     return total
+
+
+class TestWarmSweep:
+    @pytest.mark.parametrize(
+        "kind, seed", [("cardinality", 1), ("cardinality", 3), ("uniform", 2), ("uniform", 4)]
+    )
+    def test_warm_steps_skip_phase_1_and_match_cold_solves(self, monkeypatch, kind, seed):
+        steps, natural = [], []
+        real_solve, real_lp = stochastic.solve, fractional.solve
+
+        def solve_step(inst, tau=None, **opts):
+            rep = real_solve(inst, tau, **opts)
+            steps.append((inst, tau, opts, rep))
+            return rep
+
+        def solve_lp(lp, start=None):
+            res = real_lp(lp, start)
+            natural.append(res)
+            return res
+
+        monkeypatch.setattr(stochastic, "solve", solve_step)
+        monkeypatch.setattr(fractional, "solve", solve_lp)
+        solve_stochastic_center(generate_stochastic(4, 5, kind=kind, seed=seed), None, 0.2)
+        monkeypatch.undo()
+
+        assert len(natural) == len(steps) >= 3
+        assert natural[0].pivots[0] > 0  # the assignment rows need artificials when cold
+        assert all(res.pivots[0] == 0 for res in natural[1:])
+        for inst, tau, opts, rep in steps:
+            assert "warm" in opts
+            assert all(c.holds for c in rep.certificates)
+            cold = knapsack.solve(inst, tau)
+            assert rep.lp_optimum == pytest.approx(cold.lp_optimum, rel=1e-9)
 
 
 class TestBernoulliMaxLemma:
