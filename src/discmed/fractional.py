@@ -23,7 +23,7 @@ from .instance import (
     PartitionMatroid,
     UniformMatroid,
 )
-from .lpcore import BasicOptimal, LinearProgram, solve
+from .lpcore import BasicOptimal, LinearProgram, slack_start, solve
 
 SUPPORT_TOL = 1e-9
 
@@ -176,16 +176,67 @@ def decode(nat: NaturalLP, inst: Instance, res: BasicOptimal) -> FractionalSolut
     return FractionalSolution(x=x, y=y, objective_value=res.objective_value)
 
 
+def greedy_open_set(inst: Instance) -> list[int]:
+    """Facility positions picked greedily for the connection cost.
+
+    Each step adds the facility that lowers sum_j min_{i in S} contrib[i, j]
+    the most (the first by position on a tie) among those whose addition
+    keeps every row of ``family_rows`` satisfied, and the greedy stops when
+    no such addition lowers the cost (Jain, Mahdian and Saberi, STOC 2002).
+    Empty when not even one facility fits.
+    """
+    nf = len(inst.facilities)
+    rows = family_rows(inst, inst.facilities)
+    R = np.zeros((len(rows), nf))
+    for r, (coeffs, _, _) in enumerate(rows):
+        R[r, list(coeffs)] = list(coeffs.values())
+    rhs = np.array([row[2] for row in rows])
+    load = np.zeros(len(rows))
+    nearest = np.full(len(inst.clients), np.inf)
+    cost = np.inf
+    chosen: list[int] = []
+    while True:
+        totals = np.minimum(nearest, inst.contrib).sum(axis=1)
+        totals[chosen] = np.inf
+        totals[((load[:, None] + R) > rhs[:, None]).any(axis=0)] = np.inf
+        best = int(totals.argmin())
+        if totals[best] >= cost:
+            return chosen
+        chosen.append(best)
+        cost = totals[best]
+        load += R[:, best]
+        nearest = np.minimum(nearest, inst.contrib[best])
+
+
+def greedy_start(nat: NaturalLP, inst: Instance):
+    """A primal feasible basis of the plain natural LP at the integral vertex
+    of ``greedy_open_set``, or None when that set is empty.
+
+    Every client row has the assignment to its nearest open facility (the
+    first by position on a tie) basic, every inequality row its slack, and
+    the open facilities' y sit at their upper bound 1.
+    """
+    opened = sorted(greedy_open_set(inst))
+    if not opened:
+        return None
+    nearest = np.array(opened)[inst.dist_fc[opened].argmin(axis=0)]
+    # build_natural_lp puts client cj's assignment row at row cj
+    basic = {cj: nat.x_index[(int(fi), cj)] for cj, fi in enumerate(nearest)}
+    return slack_start(nat.lp, basic, opened)
+
+
 def solve_natural(inst: Instance, extended=None, warm: dict | None = None) -> FractionalSolution:
     """Optimal vertex of the natural LP, decoded.
 
     ``warm`` is a cache handle for re-solves of the same rows: the LP starts
     from ``warm["basis"]`` when it holds one, and its final basis is stored
-    there. Without a handle the LP is solved cold.
+    there. Without a handle the plain LP starts from ``greedy_start``, so
+    phase 1 is skipped, and the strengthened (``extended``) LP is solved cold.
     """
     nat = build_natural_lp(inst, extended)
     if warm is None:
-        return decode(nat, inst, solve(nat.lp))
+        start = greedy_start(nat, inst) if extended is None else None
+        return decode(nat, inst, solve(nat.lp, start))
     res = solve(nat.lp, warm.get("basis"))
     warm["basis"] = res.basis
     return decode(nat, inst, res)

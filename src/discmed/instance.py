@@ -360,7 +360,10 @@ def validate(inst: Instance) -> list[str]:
         if not 1 <= con.k <= len(inst.facilities):
             out.append(f"cardinality bound k={con.k} outside [1, {len(inst.facilities)}]")
     elif isinstance(con, Matroid):
-        out.extend(con.spec.violations(inst.facilities))
+        bad = con.spec.violations(inst.facilities)
+        out.extend(bad)
+        if not bad and con.spec.rank(inst.facilities) < 1:
+            out.append("matroid admits no nonempty independent set")
     elif isinstance(con, Knapsack):
         missing = set(inst.facilities) - set(con.weights)
         bad = [f for f in inst.facilities if f in con.weights and not math.isfinite(con.weights[f])]

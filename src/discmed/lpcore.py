@@ -139,6 +139,34 @@ def _redundant_rows(deps: np.ndarray, art_rows: list[int], rels: list[str], drop
     return out
 
 
+def _slacks(rels: list[str], n: int) -> tuple[dict, dict]:
+    """Column and sign of each inequality row's slack: the slacks follow the
+    ``n`` structural columns in row order, +1 for "<=" and -1 for ">="."""
+    slack_of_row = {}
+    slack_sign = {}
+    for i, rel in enumerate(rels):
+        if rel != "=":
+            slack_of_row[i] = n + len(slack_of_row)
+            slack_sign[i] = 1.0 if rel == "<=" else -1.0
+    return slack_of_row, slack_sign
+
+
+def slack_start(lp: LinearProgram, basic: dict, upper) -> tuple[np.ndarray, np.ndarray]:
+    """A ``start`` for ``solve``: structural column ``basic[i]`` basic in each
+    equality row ``i``, the slack basic in every inequality row, the
+    structurals listed in ``upper`` nonbasic at their upper bound and every
+    other column at its lower bound."""
+    slack_of_row, _ = _slacks(lp.row_rel, lp.n_vars)
+    basis = np.array(
+        [slack_of_row[i] if i in slack_of_row else basic[i] for i in range(lp.n_rows)],
+        dtype=np.int64,
+    )
+    side = np.ones(lp.n_vars + len(slack_of_row))
+    side[list(upper)] = -1.0
+    side[basis] = 0.0
+    return basis, side
+
+
 def _columns(A: np.ndarray, slack_of_row: dict, slack_sign: dict, n_cols: int) -> np.ndarray:
     """An m x n_cols array holding A, then the slack columns, then zeros."""
     T = np.zeros((A.shape[0], n_cols))
@@ -185,7 +213,7 @@ def _restart(A, slack_of_row, slack_sign, b, lo, hi, start):
         basis[r] = j
         free[r] = False
     xB = T[:, N].copy()
-    T = np.ascontiguousarray(T[:, :N])
+    T = T[:, :N]  # a view, as the cold path slices: no second m x N tableau
     if (xB < lob[basis] - FEAS_TOL).any() or (xB > upb[basis] + FEAS_TOL).any():
         return None
     return T, basis, side, xB, lob, upb
@@ -214,12 +242,7 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
     m = len(rels)
 
     # column layout: structurals, then one slack per inequality row, then artificials
-    slack_of_row = {}
-    slack_sign = {}
-    for i, rel in enumerate(rels):
-        if rel != "=":
-            slack_of_row[i] = n + len(slack_of_row)
-            slack_sign[i] = 1.0 if rel == "<=" else -1.0
+    slack_of_row, slack_sign = _slacks(rels, n)
     n_slack = len(slack_of_row)
 
     begun = None if start is None else _restart(A, slack_of_row, slack_sign, b, lo, hi, start)

@@ -30,6 +30,15 @@ def strict_json(path):
 UNIT_TRIANGLE = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
+def rank_zero_matroid(kind):
+    """A generated 3x4 ``kind`` matroid instance whose every rank is 0."""
+    blob = to_json(generate(3, 4, kind=kind, seed=1))
+    matroid = blob["constraint"]["matroid"]
+    key = "caps" if kind == "partition" else "ranks"
+    matroid[key] = [0] * len(matroid[key])
+    return blob
+
+
 def tiny_instance(matrix=UNIT_TRIANGLE, discount=0.0, weight=1.0, knapsack=None):
     """One facility, two clients; ``knapsack`` is (facility weight, budget)."""
     blob = {
@@ -185,6 +194,16 @@ class TestSolveVerify:
                 "matroid instances take no option --step\n", id="matroid-step",
             ),
             pytest.param(
+                rank_zero_matroid("partition"), (),
+                "error: invalid instance: matroid admits no nonempty independent set",
+                id="partition-rank-0",
+            ),
+            pytest.param(
+                rank_zero_matroid("explicit"), (),
+                "error: invalid instance: matroid admits no nonempty independent set",
+                id="explicit-rank-0",
+            ),
+            pytest.param(
                 tiny_instance(), ("--cap1", "1", "--max-candidates", "9"),
                 "take no option --cap1/--cap2, --max-candidates\n", id="knapsack-flags",
             ),
@@ -229,7 +248,8 @@ class TestSolveVerify:
         dump(generate(3, 4, kind="cardinality", seed=1), str(inst_path))
         assert run_cli("solve", str(inst_path)) == 1
         err = capsys.readouterr().err
-        assert "pivot limit exceeded in phase 1" in err
+        # the natural LP starts from a greedy vertex, so the limit hits phase 2
+        assert "pivot limit exceeded in phase 2 on a 17x28 tableau" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(

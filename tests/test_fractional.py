@@ -8,6 +8,7 @@ from discmed.fractional import (
     FractionalSolution,
     build_natural_lp,
     duplicate_facilities,
+    greedy_open_set,
     make_distance_optimal,
     solve_natural,
 )
@@ -64,6 +65,32 @@ class TestBuildNaturalLP:
             inst = I.generate(5, 6, kind="cardinality", seed=seed)
             frac = solve_natural(inst)
             assert frac.objective_value <= brute_opt(inst).value + 1e-6
+
+
+class TestGreedyOpenSet:
+    def test_adds_the_best_facility_while_the_cost_falls(self):
+        # facilities at x = 0, 5, 10, 20 and clients at x = 1, 9 with
+        # discount 3: f01 first (cost 2), then f00 over f02 by position on
+        # a tie (cost 1), then f02 (cost 0); f03 would not lower it, so it
+        # stays closed although k = 4 allows it
+        xs = {"f00": 0, "f01": 5, "f02": 10, "f03": 20, "c00": 1, "c01": 9}
+        metric = I.MetricSpace.from_coords({p: (float(x), 0.0) for p, x in xs.items()})
+        inst = I.Instance(
+            ("f00", "f01", "f02", "f03"), ("c00", "c01"), metric,
+            {"c00": 3.0, "c01": 3.0}, {"c00": 1.0, "c01": 1.0}, I.Cardinality(4),
+        )
+        assert greedy_open_set(inst) == [1, 0, 2]
+
+    def test_respects_the_family_rows(self):
+        for kind in ("cardinality", "uniform", "partition", "explicit"):
+            for seed in range(5):
+                inst = I.generate(6, 12, kind=kind, seed=seed)
+                chosen = [inst.facilities[fi] for fi in greedy_open_set(inst)]
+                assert chosen, (kind, seed)
+                if kind == "cardinality":
+                    assert len(chosen) <= inst.constraint.k
+                else:
+                    assert inst.constraint.spec.is_independent(chosen), (kind, seed)
 
 
 class TestDistanceOptimal:

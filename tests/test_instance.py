@@ -38,6 +38,22 @@ class TestValidate:
         msgs = I.validate(inst)
         assert any("normalization" in v for v in msgs)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            I.PartitionMatroid((("f00", "f01"), ("f02",)), (0, 0)),
+            I.ExplicitMatroid(("f00", "f01", "f02"), np.zeros(8, dtype=np.int64)),
+        ],
+        ids=["partition", "explicit"],
+    )
+    def test_rank_zero_matroid_is_refused(self, spec):
+        inst = I.generate(3, 4, kind="cardinality", seed=1)
+        inst = I.Instance(
+            inst.facilities, inst.clients, inst.metric,
+            inst.discounts, inst.client_weights, I.Matroid(spec),
+        )
+        assert I.validate(inst) == ["matroid admits no nonempty independent set"]
+
     def test_generated_instances_validate(self):
         kinds = ["cardinality", "uniform", "partition", "explicit", "knapsack"]
         for seed in range(1000):

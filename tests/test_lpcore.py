@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discmed import generate, iterround, knapsack, lpcore
-from discmed.fractional import build_natural_lp
+from discmed import fractional, generate, iterround, knapsack, lpcore
+from discmed.fractional import build_natural_lp, solve_natural
 from discmed.knapsack import ExtendedInstance
 from discmed.lpcore import InfeasibleLP, LinearProgram, LPError, solve
 
@@ -347,6 +347,58 @@ def test_start_from_another_objective_skips_phase_1():
     assert_certified(moved, warm)
     # the final basis of a warm solve restarts itself without a pivot
     assert solve(moved, warm.basis).pivots == (0, 0)
+
+
+def natural_lp_solved(inst):
+    """The natural LP that ``solve_natural(inst)`` builds and the result it gets."""
+    seen = []
+
+    def recording_solve(lp, start=None):
+        seen.append((lp, solve(lp, start)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractional, "solve", recording_solve)
+        solve_natural(inst)
+    ((lp, res),) = seen
+    return lp, res
+
+
+def assert_greedy_start_matches_cold(inst):
+    lp, res = natural_lp_solved(inst)
+    assert res.pivots[0] == 0  # the greedy vertex was taken as the start
+    assert res.objective_value == pytest.approx(solve(lp).objective_value, rel=1e-9)
+    assert_certified(lp, res)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["cardinality", "uniform", "partition", "explicit"])
+def test_natural_lp_starts_at_a_greedy_vertex(kind, seed):
+    assert_greedy_start_matches_cold(generate(6, 12, kind=kind, seed=seed))
+
+
+@given(
+    kind=st.sampled_from(["cardinality", "uniform", "partition", "explicit"]),
+    nf=st.integers(min_value=1, max_value=6),
+    nc=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_natural_lp_starts_at_a_greedy_vertex_on_random_instances(kind, nf, nc, seed):
+    assert_greedy_start_matches_cold(generate(nf, nc, kind=kind, seed=seed))
+
+
+def test_infeasible_greedy_start_solves_cold(monkeypatch):
+    greedy_start = fractional.greedy_start
+
+    def closed(nat, inst):
+        basis, side = greedy_start(nat, inst)
+        return basis, np.abs(side)  # every y at 0: each basic x breaks its x <= y row
+
+    monkeypatch.setattr(fractional, "greedy_start", closed)
+    lp, res = natural_lp_solved(generate(8, 20, kind="cardinality", seed=1))
+    assert res.pivots[0] > 0
+    assert same_result(res, solve(lp))
 
 
 def test_basis_is_none_after_a_dropped_row():
