@@ -225,21 +225,15 @@ def greedy_start(nat: NaturalLP, inst: Instance):
     return slack_start(nat.lp, basic, opened)
 
 
-def solve_natural(inst: Instance, extended=None, warm: dict | None = None) -> FractionalSolution:
+def solve_natural(inst: Instance, extended=None) -> FractionalSolution:
     """Optimal vertex of the natural LP, decoded.
 
-    ``warm`` is a cache handle for re-solves of the same rows: the LP starts
-    from ``warm["basis"]`` when it holds one, and its final basis is stored
-    there. Without a handle the plain LP starts from ``greedy_start``, so
-    phase 1 is skipped, and the strengthened (``extended``) LP is solved cold.
+    The plain LP starts from ``greedy_start``, so phase 1 is skipped; the
+    strengthened (``extended``) LP is solved cold.
     """
     nat = build_natural_lp(inst, extended)
-    if warm is None:
-        start = greedy_start(nat, inst) if extended is None else None
-        return decode(nat, inst, solve(nat.lp, start))
-    res = solve(nat.lp, warm.get("basis"))
-    warm["basis"] = res.basis
-    return decode(nat, inst, res)
+    start = greedy_start(nat, inst) if extended is None else None
+    return decode(nat, inst, solve(nat.lp, start))
 
 
 def make_distance_optimal(sol: FractionalSolution, inst: Instance) -> FractionalSolution:

@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 TRIANGLE_TOL = 1e-9
+TRIANGLE_SLAB = 1 << 18  # float entries (2 MB) per triangle-check temporary
 # Non-co-located sites must sit at distance >= 1 (required by discretization).
 MIN_SEPARATION = 1.0
 _SEP_SLACK = 1e-12
@@ -76,18 +77,23 @@ class MetricSpace:
             i, j = map(int, np.argwhere(d < 0)[0])
             out.append(f"negative distance at ({self.points[i]},{self.points[j]})")
             return out
-        # triangle inequality over all triples: d[i,j] <= d[i,k] + d[k,j]
-        slack = d[:, :, None] + d[None, :, :] - d[:, None, :]  # [i, k, j]
+        # triangle inequality over all triples: d[i,j] <= d[i,k] + d[k,j], a
+        # slab of rows i at a time so the temporary stays near TRIANGLE_SLAB
         seen = set()
-        for i, k, j in np.argwhere(slack < -TRIANGLE_TOL):
-            key = (min(int(i), int(j)), max(int(i), int(j)), int(k))
-            if key not in seen:
-                seen.add(key)
-                out.append(
-                    "triangle violation "
-                    f"({self.points[i]},{self.points[k]},{self.points[j]}): "
-                    f"{d[i, j]:.6g} > {d[i, k]:.6g} + {d[k, j]:.6g}"
-                )
+        step = max(1, TRIANGLE_SLAB // (n * n))
+        for lo in range(0, n, step):
+            rows = d[lo : lo + step]
+            slack = rows[:, :, None] + d[None, :, :] - rows[:, None, :]  # [i - lo, k, j]
+            for i, k, j in np.argwhere(slack < -TRIANGLE_TOL):
+                i += lo
+                key = (min(int(i), int(j)), max(int(i), int(j)), int(k))
+                if key not in seen:
+                    seen.add(key)
+                    out.append(
+                        "triangle violation "
+                        f"({self.points[i]},{self.points[k]},{self.points[j]}): "
+                        f"{d[i, j]:.6g} > {d[i, k]:.6g} + {d[k, j]:.6g}"
+                    )
         for i, j in np.argwhere((d > 0) & (d < MIN_SEPARATION - _SEP_SLACK)):
             if i < j:
                 out.append(
@@ -535,10 +541,28 @@ def to_json(inst: Instance) -> dict:
     return {"facilities": fac, "clients": cli, "metric": metric, "constraint": constraint}
 
 
+def _count(value, what: str) -> int:
+    """``value`` as an int; a bool, a non-number or a fraction is refused."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise InstanceError(f"{what} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _ids(entries, what: str) -> tuple[str, ...]:
+    """The ``id`` of each entry; an id that is not a string is refused."""
+    ids = tuple(e["id"] for e in entries)
+    for i in ids:
+        if not isinstance(i, str):
+            raise InstanceError(f"{what} id {json.dumps(i)} is not a string")
+    return ids
+
+
 def from_json(obj: dict) -> Instance:
     try:
-        fids = tuple(e["id"] for e in obj["facilities"])
-        cids = tuple(e["id"] for e in obj["clients"])
+        fids = _ids(obj["facilities"], "facility")
+        cids = _ids(obj["clients"], "client")
         discounts = {e["id"]: float(e["discount"]) for e in obj["clients"]}
         weights = {e["id"]: float(e.get("weight", 1.0)) for e in obj["clients"]}
         m = obj["metric"]
@@ -551,19 +575,17 @@ def from_json(obj: dict) -> Instance:
             raise InstanceError(f"unknown metric type {m['type']!r}")
         c = obj["constraint"]
         if c["type"] == "cardinality":
-            constraint: ConstraintFamily = Cardinality(int(c["k"]))
+            constraint: ConstraintFamily = Cardinality(_count(c["k"], "cardinality k"))
         elif c["type"] == "matroid":
             mm = c["matroid"]
             if mm["type"] == "uniform":
-                spec: MatroidSpec = UniformMatroid(int(mm["rank"]))
+                spec: MatroidSpec = UniformMatroid(_count(mm["rank"], "matroid rank"))
             elif mm["type"] == "partition":
-                spec = PartitionMatroid(
-                    tuple(tuple(p) for p in mm["parts"]), tuple(mm["caps"])
-                )
+                caps = tuple(_count(cap, "partition cap") for cap in mm["caps"])
+                spec = PartitionMatroid(tuple(tuple(p) for p in mm["parts"]), caps)
             elif mm["type"] == "explicit":
-                spec = ExplicitMatroid(
-                    tuple(mm["elements"]), np.array(mm["ranks"], dtype=np.int64)
-                )
+                ranks = [_count(r, "matroid rank") for r in mm["ranks"]]
+                spec = ExplicitMatroid(tuple(mm["elements"]), np.array(ranks, dtype=np.int64))
             else:
                 raise InstanceError(f"unknown matroid type {mm['type']!r}")
             constraint = Matroid(spec)
@@ -572,7 +594,9 @@ def from_json(obj: dict) -> Instance:
             constraint = Knapsack(w, float(c["budget"]))
         else:
             raise InstanceError(f"unknown constraint type {c['type']!r}")
-    except (KeyError, TypeError) as exc:
+    except InstanceError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
     return Instance(fids, cids, metric, discounts, weights, constraint)
 

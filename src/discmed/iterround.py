@@ -363,10 +363,10 @@ def offset_support(bs: BallSystem, inst: Instance, cols: Sequence[int]):
     return np.array(cs), np.array(rs), np.array(ms)
 
 
-def _pipeline(inst: Instance, tau: float, h: int, warm: dict | None) -> SolveReport:
+def _pipeline(inst: Instance, tau: float, h: int) -> SolveReport:
     original = inst
     inst = checked(inst)
-    frac = solve_natural(inst, warm=warm)
+    frac = solve_natural(inst)
     frac = make_distance_optimal(frac, inst)
     bs = duplicate_facilities(frac, inst)
     cols = [cj for cj in range(len(inst.clients)) if bs.F[cj]]
@@ -440,25 +440,19 @@ def _pipeline(inst: Instance, tau: float, h: int, warm: dict | None) -> SolveRep
     )
 
 
-def solve_kmeddis(
-    inst: Instance, tau: float = 1.91, h: int = 2, warm: dict | None = None
-) -> SolveReport:
-    """Cardinality-constrained pipeline (step size 2 by default).
-
-    ``warm`` is passed to ``solve_natural``: a handle that carries the natural
-    LP's basis from one solve to the next over the same rows.
-    """
+def solve_kmeddis(inst: Instance, tau: float = 1.91, h: int = 2) -> SolveReport:
+    """Cardinality-constrained pipeline (step size 2 by default)."""
     if not isinstance(inst.constraint, Cardinality):
         raise InstanceError("solve_kmeddis needs a cardinality constraint")
     if not 1.0 < tau < math.inf:
         raise InstanceError("tau must be finite and exceed 1")
-    return _pipeline(inst, tau, h, warm)
+    return _pipeline(inst, tau, h)
 
 
-def solve_matmeddis(inst: Instance, tau: float = 2.36, warm: dict | None = None) -> SolveReport:
-    """Matroid-constrained pipeline (step size 1); ``warm`` as in ``solve_kmeddis``."""
+def solve_matmeddis(inst: Instance, tau: float = 2.36) -> SolveReport:
+    """Matroid-constrained pipeline (step size 1)."""
     if not isinstance(inst.constraint, Matroid):
         raise InstanceError("solve_matmeddis needs a matroid constraint")
     if not 1.0 < tau < math.inf:
         raise InstanceError("tau must be finite and exceed 1")
-    return _pipeline(inst, tau, 1, warm)
+    return _pipeline(inst, tau, 1)

@@ -222,10 +222,10 @@ def _restart(A, slack_of_row, slack_sign, b, lo, hi, start):
 def solve(lp: LinearProgram, start=None) -> BasicOptimal:
     """Optimal vertex of ``lp``; raises InfeasibleLP / UnboundedLP otherwise.
 
-    ``start`` is the ``basis`` of an earlier result, typically of the same
-    rows under another objective. When it is a primal feasible basis of
-    ``lp``, phase 1 is skipped and phase 2 starts from it; otherwise (see
-    ``_restart``) the solve is cold, exactly as without a start.
+    ``start`` comes from ``slack_start`` or is the ``basis`` of an earlier
+    result. When it is a primal feasible basis of ``lp``, phase 1 is
+    skipped and phase 2 starts from it; otherwise (see ``_restart``) the
+    solve is cold, exactly as without a start.
     """
     n = lp.n_vars
     lo = np.asarray(lp.lo, float).copy()

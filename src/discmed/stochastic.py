@@ -177,9 +177,6 @@ def solve_stochastic_center(
     and E[max] <= (alpha + beta) * T_star is evaluated exactly when feasible.
     Each step calls ``solve`` with ``tau`` (None: the family's default) and
     ``knap_options``; a knapsack base starts from SWEEP_KNAPSACK_OPTIONS.
-    A cardinality or matroid base passes one ``warm`` handle through the
-    whole sweep, so each natural LP starts from the last step's basis; a
-    knapsack base stays cold, since its extended LPs change shape with T.
     """
     if not 0.0 < epsilon < 1.0:
         raise InstanceError("epsilon must lie in (0, 1)")
@@ -193,8 +190,6 @@ def solve_stochastic_center(
     opts = dict(knap_options or {})
     if isinstance(base.constraint, Knapsack):
         opts = {**SWEEP_KNAPSACK_OPTIONS, **opts}
-    else:
-        opts["warm"] = {}  # only the natural LP's objective moves with T
 
     diameter = float(base.metric.dist.max())
     shrink = 1.0 - epsilon  # 1.0 for epsilon below about 1.1e-16
@@ -290,6 +285,9 @@ def stochastic_to_json(stoch: StochasticInstance) -> dict:
 
 
 def stochastic_from_json(obj: dict) -> StochasticInstance:
+    if not isinstance(obj, dict):
+        kind = type(obj).__name__
+        raise InstanceError(f"malformed stochastic JSON: expected an object, got {kind}")
     base_blob = {k: v for k, v in obj.items() if k != "points"}
     base = from_json(base_blob)
     try:
@@ -297,6 +295,6 @@ def stochastic_from_json(obj: dict) -> StochasticInstance:
             StochasticPoint(p["id"], {str(k): float(v) for k, v in p["dist"].items()})
             for p in obj["points"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InstanceError(f"malformed stochastic JSON: {exc}") from exc
     return StochasticInstance(base=base, points=points)

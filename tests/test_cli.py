@@ -30,9 +30,13 @@ def strict_json(path):
 UNIT_TRIANGLE = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
+def generated(kind):
+    return to_json(generate(3, 4, kind=kind, seed=1))
+
+
 def rank_zero_matroid(kind):
     """A generated 3x4 ``kind`` matroid instance whose every rank is 0."""
-    blob = to_json(generate(3, 4, kind=kind, seed=1))
+    blob = generated(kind)
     matroid = blob["constraint"]["matroid"]
     key = "caps" if kind == "partition" else "ranks"
     matroid[key] = [0] * len(matroid[key])
@@ -54,6 +58,20 @@ def tiny_instance(matrix=UNIT_TRIANGLE, discount=0.0, weight=1.0, knapsack=None)
         blob["facilities"][0]["weight"] = knapsack[0]
         blob["constraint"] = {"type": "knapsack", "budget": knapsack[1]}
     return blob
+
+
+def edited(blob, path, value):
+    """``blob`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    *head, last = path
+    node = blob
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return blob
+
+
+def stochastic_blob():
+    return stochastic_to_json(generate_stochastic(3, 3, seed=1))
 
 
 class TestGen:
@@ -233,6 +251,52 @@ class TestSolveVerify:
                 tiny_instance(knapsack=(1.0, 2.0)), ("--jobs", "0"),
                 "error: jobs must be at least 1, got 0", id="jobs-0",
             ),
+            pytest.param(
+                tiny_instance(discount="abc"), (),
+                "malformed instance JSON: could not convert string to float: 'abc'",
+                id="text-discount",
+            ),
+            pytest.param(
+                tiny_instance(matrix=((0, 1, 1), (1, 0), (1, 1, 0))), (),
+                "error: malformed instance JSON: setting an array element", id="ragged-row",
+            ),
+            pytest.param(
+                tiny_instance(matrix=((0, 1, "x"), (1, 0, 1), (1, 1, 0))), (),
+                "malformed instance JSON: could not convert string to float: 'x'",
+                id="text-distance",
+            ),
+            pytest.param(
+                edited(tiny_instance(), ("constraint", "k"), "two"), (),
+                'error: cardinality k must be an integer, got "two"', id="text-k",
+            ),
+            pytest.param(
+                edited(tiny_instance(), ("constraint", "k"), 2.7), (),
+                "error: cardinality k must be an integer, got 2.7", id="fractional-k",
+            ),
+            pytest.param(
+                edited(tiny_instance(), ("constraint", "k"), True), (),
+                "error: cardinality k must be an integer, got true", id="bool-k",
+            ),
+            pytest.param(
+                edited(generated("uniform"), ("constraint", "matroid", "rank"), 1.5), (),
+                "error: matroid rank must be an integer, got 1.5", id="fractional-rank",
+            ),
+            pytest.param(
+                edited(generated("partition"), ("constraint", "matroid", "caps", 0), False), (),
+                "error: partition cap must be an integer, got false", id="bool-cap",
+            ),
+            pytest.param(
+                edited(generated("explicit"), ("constraint", "matroid", "ranks", 1), 0.5), (),
+                "error: matroid rank must be an integer, got 0.5", id="fractional-explicit-rank",
+            ),
+            pytest.param(
+                edited(tiny_instance(), ("clients", 0, "id"), 7), (),
+                "error: client id 7 is not a string", id="int-client-id",
+            ),
+            pytest.param(
+                edited(tiny_instance(), ("facilities", 0, "id"), None), (),
+                "error: facility id null is not a string", id="null-facility-id",
+            ),
         ],
     )
     def test_invariant_violation_exits_1(self, tmp_path, capsys, blob, flags, message):
@@ -312,6 +376,27 @@ class TestStochasticCommand:
         assert rep["guaranteeConstant"] == pytest.approx(
             3 * 1.4 * (rep["alpha"] + rep["beta"])
         )
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            pytest.param(
+                edited(stochastic_blob(), ("points", 0, "dist"), {"c00": "half"}),
+                "could not convert string to float: 'half'", id="text-probability",
+            ),
+            pytest.param(
+                edited(stochastic_blob(), ("points", 0, "dist"), [0.5]),
+                "'list' object has no attribute 'items'", id="list-dist",
+            ),
+            pytest.param([], "expected an object, got list", id="top-level-list"),
+        ],
+    )
+    def test_malformed_stochastic_json_exits_1_in_one_line(self, tmp_path, capsys, blob, message):
+        inst_path = tmp_path / "st.json"
+        inst_path.write_text(json.dumps(blob))
+        assert run_cli("stochastic", str(inst_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: malformed stochastic JSON: {message}\n"
 
     def test_tiny_epsilon_exits_1_in_one_line(self, tmp_path, capsys):
         # 1 - 1e-17 rounds to 1, so the sweep's T would never shrink

@@ -20,6 +20,22 @@ def line_instance(dists, discounts, k=1, weights=None):
     return I.Instance(("f00",), ids[1:], metric, disc, w, I.Cardinality(k))
 
 
+def full_cube_triangle_messages(m):
+    """The triangle messages from the whole n x n x n slack array at once."""
+    d, out, seen = m.dist, [], set()
+    slack = d[:, :, None] + d[None, :, :] - d[:, None, :]  # [i, k, j]
+    for i, k, j in np.argwhere(slack < -I.TRIANGLE_TOL):
+        key = (min(int(i), int(j)), max(int(i), int(j)), int(k))
+        if key not in seen:
+            seen.add(key)
+            out.append(
+                "triangle violation "
+                f"({m.points[i]},{m.points[k]},{m.points[j]}): "
+                f"{d[i, j]:.6g} > {d[i, k]:.6g} + {d[k, j]:.6g}"
+            )
+    return out
+
+
 class TestValidate:
     def test_collinear_points_are_a_metric(self):
         m = I.MetricSpace(("a", "b", "c"), np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0.0]]))
@@ -31,6 +47,21 @@ class TestValidate:
         inst = I.Instance(("a",), ("b", "c"), m, {"b": 0.0, "c": 0.0}, {"b": 1.0, "c": 1.0}, I.Cardinality(1))
         msgs = I.validate(inst)
         assert any("triangle" in v and "a" in v and "b" in v and "c" in v for v in msgs)
+
+    @pytest.mark.parametrize("n, slab_rows", [(6, None), (9, None), (9, 1), (9, 4), (14, 3)])
+    def test_triangle_messages_match_the_full_cube(self, monkeypatch, n, slab_rows):
+        # slab_rows None keeps the default slab, which holds every row at these sizes
+        if slab_rows is not None:
+            monkeypatch.setattr(I, "TRIANGLE_SLAB", slab_rows * n * n)
+        rng = np.random.default_rng(n + (slab_rows or 0))
+        d = I.MetricSpace.from_coords({f"p{k}": tuple(rng.uniform(1, 9, 2)) for k in range(n)}).dist
+        for _ in range(3):  # plant stretched edges, keeping the matrix symmetric
+            a, b = rng.choice(n, size=2, replace=False)
+            d[a, b] = d[b, a] = 3.0 * d[a, b]
+        m = I.MetricSpace(tuple(f"p{k}" for k in range(n)), d)
+        expected = full_cube_triangle_messages(m)
+        assert expected
+        assert [v for v in m.violations() if v.startswith("triangle")] == expected
 
     def test_normalization_violation(self):
         m = I.MetricSpace(("a", "b"), np.array([[0.0, 0.5], [0.5, 0.0]]))

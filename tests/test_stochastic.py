@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from discmed import fractional, knapsack, stochastic
+import discmed
+from discmed import fractional, stochastic
 from discmed import instance as I
 from discmed.iterround import bicriteria_factors
-from discmed.knapsack import knapsack_alpha, knapsack_est_coefficient
+from discmed.knapsack import OptionError, knapsack_alpha, knapsack_est_coefficient
 from discmed.oracle import brute_opt, brute_stochastic_opt
 from discmed.stochastic import (
     StochasticInstance,
@@ -240,22 +241,22 @@ def exact_bernoulli_max_mean(s: np.ndarray, p: np.ndarray) -> float:
     return total
 
 
-class TestWarmSweep:
+class TestSweepStart:
     @pytest.mark.parametrize(
         "kind, seed", [("cardinality", 1), ("cardinality", 3), ("uniform", 2), ("uniform", 4)]
     )
-    def test_warm_steps_skip_phase_1_and_match_cold_solves(self, monkeypatch, kind, seed):
+    def test_steps_take_greedy_start_and_match_start_free_solves(self, monkeypatch, kind, seed):
         steps, natural = [], []
         real_solve, real_lp = stochastic.solve, fractional.solve
 
         def solve_step(inst, tau=None, **opts):
             rep = real_solve(inst, tau, **opts)
-            steps.append((inst, tau, opts, rep))
+            steps.append((inst, opts, rep))
             return rep
 
         def solve_lp(lp, start=None):
             res = real_lp(lp, start)
-            natural.append(res)
+            natural.append((lp, res))
             return res
 
         monkeypatch.setattr(stochastic, "solve", solve_step)
@@ -264,13 +265,18 @@ class TestWarmSweep:
         monkeypatch.undo()
 
         assert len(natural) == len(steps) >= 3
-        assert natural[0].pivots[0] > 0  # the assignment rows need artificials when cold
-        assert all(res.pivots[0] == 0 for res in natural[1:])
-        for inst, tau, opts, rep in steps:
-            assert "warm" in opts
+        for (inst, opts, rep), (lp, res) in zip(steps, natural):
+            assert opts == {}  # no handle or option rides along the sweep
+            assert res.pivots[0] == 0  # the first step too: the greedy start is feasible
             assert all(c.holds for c in rep.certificates)
-            cold = knapsack.solve(inst, tau)
-            assert rep.lp_optimum == pytest.approx(cold.lp_optimum, rel=1e-9)
+            cold = real_lp(lp)
+            assert res.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+            scale = inst.scale / rep.extras["scale"]
+            assert rep.lp_optimum == pytest.approx(cold.objective_value * scale, rel=1e-9)
+
+    def test_warm_option_is_refused(self):
+        with pytest.raises(OptionError, match="warm"):
+            discmed.solve(I.generate(3, 4, kind="cardinality", seed=1), warm={})
 
 
 class TestBernoulliMaxLemma:
