@@ -241,11 +241,12 @@ def exact_bernoulli_max_mean(s: np.ndarray, p: np.ndarray) -> float:
     return total
 
 
-class TestSweepStart:
+class TestWarmSweep:
+    # a warm step is one whose natural LP starts at the greedy vertex; cold is a start-free solve
     @pytest.mark.parametrize(
         "kind, seed", [("cardinality", 1), ("cardinality", 3), ("uniform", 2), ("uniform", 4)]
     )
-    def test_steps_take_greedy_start_and_match_start_free_solves(self, monkeypatch, kind, seed):
+    def test_warm_steps_skip_phase_1_and_match_cold_solves(self, monkeypatch, kind, seed):
         steps, natural = [], []
         real_solve, real_lp = stochastic.solve, fractional.solve
 
