@@ -23,7 +23,7 @@ from .instance import (
     PartitionMatroid,
     UniformMatroid,
 )
-from .lpcore import BasicOptimal, LinearProgram, slack_start, solve
+from .lpcore import BasicOptimal, LinearProgram, solve
 
 SUPPORT_TOL = 1e-9
 
@@ -209,12 +209,12 @@ def greedy_open_set(inst: Instance) -> list[int]:
 
 
 def greedy_start(nat: NaturalLP, inst: Instance):
-    """A primal feasible basis of the plain natural LP at the integral vertex
-    of ``greedy_open_set``, or None when that set is empty.
+    """A ``start`` for ``solve`` at the integral vertex of ``greedy_open_set``,
+    or None when that set is empty: ``(basic, opened)``.
 
-    Every client row has the assignment to its nearest open facility (the
-    first by position on a tie) basic, every inequality row its slack, and
-    the open facilities' y sit at their upper bound 1.
+    ``basic`` makes each client row's assignment to its nearest open facility
+    (the first by position on a tie) basic, so every inequality row keeps its
+    slack, and the open facilities' y sit at their upper bound 1.
     """
     opened = sorted(greedy_open_set(inst))
     if not opened:
@@ -222,7 +222,7 @@ def greedy_start(nat: NaturalLP, inst: Instance):
     nearest = np.array(opened)[inst.dist_fc[opened].argmin(axis=0)]
     # build_natural_lp puts client cj's assignment row at row cj
     basic = {cj: nat.x_index[(int(fi), cj)] for cj, fi in enumerate(nearest)}
-    return slack_start(nat.lp, basic, opened)
+    return basic, opened
 
 
 def solve_natural(inst: Instance, extended=None) -> FractionalSolution:

@@ -455,6 +455,10 @@ def generate(
     """
     if n_facilities < 1 or n_clients < 1:
         raise InstanceError("generate: counts must be >= 1")
+    if not (math.isfinite(discount_scale) and discount_scale >= 0):
+        raise InstanceError(
+            f"generate: discount scale must be finite and non-negative, got {discount_scale}"
+        )
     rng = seeded_rng(seed)
     fids = tuple(f"f{k:02d}" for k in range(n_facilities))
     cids = tuple(f"c{k:02d}" for k in range(n_clients))
@@ -550,6 +554,13 @@ def _count(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; a bool or a non-number (a numeric string too) is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceError(f"{what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _ids(entries, what: str) -> tuple[str, ...]:
     """The ``id`` of each entry; an id that is not a string is refused."""
     ids = tuple(e["id"] for e in entries)
@@ -563,14 +574,17 @@ def from_json(obj: dict) -> Instance:
     try:
         fids = _ids(obj["facilities"], "facility")
         cids = _ids(obj["clients"], "client")
-        discounts = {e["id"]: float(e["discount"]) for e in obj["clients"]}
-        weights = {e["id"]: float(e.get("weight", 1.0)) for e in obj["clients"]}
+        discounts = {e["id"]: _real(e["discount"], "discount") for e in obj["clients"]}
+        weights = {e["id"]: _real(e.get("weight", 1.0), "client weight") for e in obj["clients"]}
         m = obj["metric"]
         order = fids + cids
         if m["type"] == "explicit":
-            metric = MetricSpace(order, np.array(m["matrix"], dtype=float))
+            rows = [[_real(v, "distance") for v in row] for row in m["matrix"]]
+            metric = MetricSpace(order, np.array(rows, dtype=float))
         elif m["type"] == "euclidean":
-            metric = MetricSpace.from_coords({p: tuple(m["coords"][p]) for p in order})
+            metric = MetricSpace.from_coords(
+                {p: tuple(_real(v, "coordinate") for v in m["coords"][p]) for p in order}
+            )
         else:
             raise InstanceError(f"unknown metric type {m['type']!r}")
         c = obj["constraint"]
@@ -590,8 +604,8 @@ def from_json(obj: dict) -> Instance:
                 raise InstanceError(f"unknown matroid type {mm['type']!r}")
             constraint = Matroid(spec)
         elif c["type"] == "knapsack":
-            w = {e["id"]: float(e["weight"]) for e in obj["facilities"]}
-            constraint = Knapsack(w, float(c["budget"]))
+            w = {e["id"]: _real(e["weight"], "knapsack weight") for e in obj["facilities"]}
+            constraint = Knapsack(w, _real(c["budget"], "knapsack budget"))
         else:
             raise InstanceError(f"unknown constraint type {c['type']!r}")
     except InstanceError:

@@ -84,17 +84,13 @@ class BasicOptimal:
     conditions: ("row", r) for a constraint satisfied with equality, or
     ("lo", j) / ("hi", j) for a variable at a bound.
 
-    ``basis`` is the final basis over the structural and slack columns: the
-    basic column of each row and the signed ``side`` array (+1 nonbasic at
-    the lower bound, -1 at the upper bound, 0 basic). It is None when phase
-    1 dropped a redundant row. ``pivots`` counts the basis changes of phase 1
-    and of phase 2; bound flips and phase-1 drive-out pivots are not counted.
+    ``pivots`` counts the basis changes of phase 1 and of phase 2; bound
+    flips and phase-1 drive-out pivots are not counted.
     """
 
     values: np.ndarray
     objective_value: float
     basis_certificate: list[tuple[str, int]]
-    basis: tuple[np.ndarray, np.ndarray] | None = None
     pivots: tuple[int, int] = (0, 0)
 
 
@@ -151,81 +147,86 @@ def _slacks(rels: list[str], n: int) -> tuple[dict, dict]:
     return slack_of_row, slack_sign
 
 
-def slack_start(lp: LinearProgram, basic: dict, upper) -> tuple[np.ndarray, np.ndarray]:
-    """A ``start`` for ``solve``: structural column ``basic[i]`` basic in each
-    equality row ``i``, the slack basic in every inequality row, the
-    structurals listed in ``upper`` nonbasic at their upper bound and every
-    other column at its lower bound."""
-    slack_of_row, _ = _slacks(lp.row_rel, lp.n_vars)
-    basis = np.array(
-        [slack_of_row[i] if i in slack_of_row else basic[i] for i in range(lp.n_rows)],
-        dtype=np.int64,
-    )
-    side = np.ones(lp.n_vars + len(slack_of_row))
-    side[list(upper)] = -1.0
-    side[basis] = 0.0
-    return basis, side
+def _tableau(A, b, lo, hi, slack_of_row, slack_sign, start=None):
+    """Reduced tableau, basis, sides, basic values, column bounds and
+    artificial rows of the first basis.
 
+    Every structural sits at the bound nearest zero, or at its upper bound
+    when ``start`` lists it in ``upper``; the structural ``basic[i]`` of
+    ``start`` is pivoted in at row ``i`` by ``_pivot``; every other row takes
+    its slack when the slack's value is feasible, and an artificial column
+    (after the slacks) otherwise. A start is refused (None) when a pivot is
+    no larger than PIVOT_TOL, a basic value lies off its bounds by more than
+    FEAS_TOL or a row would need an artificial; a cold set-up never is.
+    """
+    m, n = A.shape
+    N = n + len(slack_of_row)
+    basic, upper = start if start is not None else ({}, ())
+    x0 = np.where(np.abs(lo) <= np.abs(hi), lo, hi)
+    side = np.where(x0 == lo, 1.0, -1.0)  # +1 at the lower bound, -1 at the upper, 0 basic
+    if len(upper):  # skipped when empty: a fancy index costs more than a tiny LP's set-up
+        up = list(upper)
+        x0[up] = hi[up]
+        side[up] = -1.0
+    if basic:
+        x0[list(basic.values())] = 0.0
+    resid = b - A @ x0 if m else np.zeros(0)
+    # a row without a named structural needs an artificial when it has no
+    # slack or, in a cold set-up, a negative one; a start's slacks are checked below
+    art = [
+        i for i in range(m)
+        if i not in basic
+        and (i not in slack_of_row or (start is None and resid[i] * slack_sign[i] < 0.0))
+    ]
+    if art and start is not None:
+        return None
 
-def _columns(A: np.ndarray, slack_of_row: dict, slack_sign: dict, n_cols: int) -> np.ndarray:
-    """An m x n_cols array holding A, then the slack columns, then zeros."""
-    T = np.zeros((A.shape[0], n_cols))
-    T[:, : A.shape[1]] = A
+    # columns: structurals, one slack per inequality row, artificials, right-hand side
+    T = np.zeros((m, N + len(art) + 1))
+    T[:, :n] = A
+    T[:, -1] = resid  # carried through the pivots: becomes the basic values
+    basis = np.empty(m, dtype=np.int64)
     for i, s in slack_of_row.items():
         T[i, s] = slack_sign[i]
-    return T
+        basis[i] = s
+    for k, i in enumerate(art):
+        T[i, N + k] = 1.0 if resid[i] >= 0 else -1.0
+        basis[i] = N + k
+    for i in sorted(basic):
+        j = basic[i]
+        if abs(T[i, j]) <= PIVOT_TOL:
+            return None  # singular, as the simplex's own pivot test judges it
+        _pivot(T, i, j)
+        basis[i] = j
+    for i in range(m):
+        piv = T[i, basis[i]]
+        if piv != 1.0:
+            T[i, :] /= piv  # reduced form needs +1 on the basic column
+    xB = T[:, -1].copy()
+    for i in art:
+        xB[i] = abs(resid[i])  # +0.0 for a residual of -0.0 too
+    T = T[:, :-1]  # a view: no second m x N tableau
 
-
-def _restart(A, slack_of_row, slack_sign, b, lo, hi, start):
-    """Reduced tableau ``B^-1 [A | S]``, basis, sides, basic values and the
-    column bounds of ``start``.
-
-    The basic columns are pivoted in by the simplex's own ``_pivot``, each on
-    its largest remaining entry, so they end as exact unit columns. Returns
-    None when ``start`` does not fit these rows, when its basis matrix is
-    singular (a pivot no larger than PIVOT_TOL), or when a basic value lies
-    off its bounds by more than FEAS_TOL.
-    """
-    m, N = len(b), len(lo) + len(slack_of_row)
-    lob = np.concatenate([lo, np.zeros(N - len(lo))])
-    upb = np.concatenate([hi, np.full(N - len(lo), np.inf)])
-    basis = np.array(start[0], dtype=np.int64)
-    side = np.array(start[1], dtype=float)
-    if (
-        basis.shape != (m,)
-        or side.shape != (N,)
-        or not np.array_equal(np.sort(basis), np.flatnonzero(side == 0.0))
-        or not np.isin(side, (-1.0, 0.0, 1.0)).all()
-        or ((side < 0) & (upb == np.inf)).any()
+    n_extra = N - n + len(art)  # slacks and artificials: at 0, unbounded above
+    side = np.concatenate([side, np.ones(n_extra)])
+    side[basis] = 0.0
+    lob = np.concatenate([lo, np.zeros(n_extra)])
+    upb = np.concatenate([hi, np.full(n_extra, np.inf)])
+    if start is not None and (
+        (xB < lob[basis] - FEAS_TOL).any() or (xB > upb[basis] + FEAS_TOL).any()
     ):
         return None
-    x = np.where(side < 0, upb, lob)
-    x[basis] = 0.0
-    T = _columns(A, slack_of_row, slack_sign, N + 1)
-    T[:, N] = b - T[:, :N] @ x  # carried through the pivots: becomes the basic values
-    free = np.ones(m, dtype=bool)
-    for j in basis.tolist():
-        col = np.where(free, np.abs(T[:, j]), 0.0)
-        r = int(col.argmax())
-        if col[r] <= PIVOT_TOL:
-            return None  # singular, as the simplex's own pivot test judges it
-        _pivot(T, r, j)
-        basis[r] = j
-        free[r] = False
-    xB = T[:, N].copy()
-    T = T[:, :N]  # a view, as the cold path slices: no second m x N tableau
-    if (xB < lob[basis] - FEAS_TOL).any() or (xB > upb[basis] + FEAS_TOL).any():
-        return None
-    return T, basis, side, xB, lob, upb
+    return T, basis, side, xB, lob, upb, art
 
 
 def solve(lp: LinearProgram, start=None) -> BasicOptimal:
     """Optimal vertex of ``lp``; raises InfeasibleLP / UnboundedLP otherwise.
 
-    ``start`` comes from ``slack_start`` or is the ``basis`` of an earlier
-    result. When it is a primal feasible basis of ``lp``, phase 1 is
-    skipped and phase 2 starts from it; otherwise (see ``_restart``) the
-    solve is cold, exactly as without a start.
+    ``start`` is a pair ``(basic, upper)``: ``basic`` maps a row to the
+    structural column basic in it, ``upper`` lists the structurals nonbasic
+    at their upper bound. When it gives a primal feasible basis of ``lp``,
+    phase 1 is skipped and phase 2 starts from it; otherwise (see
+    ``_tableau``) the solve is cold, exactly as without a start.
     """
     n = lp.n_vars
     lo = np.asarray(lp.lo, float).copy()
@@ -240,55 +241,14 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
     b = np.asarray(lp.row_rhs, float)
     rels = list(lp.row_rel)
     m = len(rels)
-
-    # column layout: structurals, then one slack per inequality row, then artificials
     slack_of_row, slack_sign = _slacks(rels, n)
     n_slack = len(slack_of_row)
 
-    begun = None if start is None else _restart(A, slack_of_row, slack_sign, b, lo, hi, start)
-    if begun is not None:
-        T, basis, side, xB, lob, upb = begun
-        n_art = 0
-    else:
-        # start structurals at the bound closest to zero
-        x0 = np.where(np.abs(lo) <= np.abs(hi), lo, hi)
-        resid = b - A @ x0 if m else np.zeros(0)
-
-        basis = np.empty(m, dtype=np.int64)
-        need_art = []
-        for i in range(m):
-            if i in slack_of_row:
-                sval = resid[i] * slack_sign[i]
-                if sval >= 0.0:
-                    basis[i] = slack_of_row[i]
-                    continue
-            need_art.append(i)
-        n_art = len(need_art)
-
-        T = _columns(A, slack_of_row, slack_sign, n + n_slack + n_art)
-        for k, i in enumerate(need_art):
-            col = n + n_slack + k
-            T[i, col] = 1.0 if resid[i] >= 0 else -1.0
-            basis[i] = col
-        for i in range(m):
-            piv = T[i, basis[i]]
-            if piv != 1.0:
-                T[i, :] /= piv  # reduced form needs +1 on the basic column
-
-        lob = np.concatenate([lo, np.zeros(n_slack + n_art)])
-        upb = np.concatenate([hi, np.full(n_slack + n_art, np.inf)])
-        # +1 nonbasic at lob, -1 nonbasic at upb, 0 basic; structurals start at
-        # the bound nearest zero
-        side = np.ones(n + n_slack + n_art)
-        side[:n] = np.where(x0 == lo, 1.0, -1.0)
-        xB = np.empty(m)
-        for i in range(m):
-            v = basis[i]
-            if v < n + n_slack:
-                xB[i] = resid[i] * slack_sign[i]
-            else:
-                xB[i] = abs(resid[i])
-            side[v] = 0.0
+    begun = _tableau(A, b, lo, hi, slack_of_row, slack_sign, start)
+    if begun is None:  # the start was refused
+        begun = _tableau(A, b, lo, hi, slack_of_row, slack_sign)
+    T, basis, side, xB, lob, upb, need_art = begun
+    n_art = len(need_art)
     N = n + n_slack + n_art
 
     def run(cost: np.ndarray, phase: int) -> int:
@@ -443,6 +403,5 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
         values=values,
         objective_value=float(lp.objective @ values),
         basis_certificate=cert,
-        basis=None if m < len(rels) else (basis, side),
         pivots=(phase1, phase2),
     )

@@ -19,6 +19,7 @@ from .instance import (
     Instance,
     InstanceError,
     Knapsack,
+    _real,
     discounted_cost,
     from_json,
     generate,
@@ -292,7 +293,9 @@ def stochastic_from_json(obj: dict) -> StochasticInstance:
     base = from_json(base_blob)
     try:
         points = tuple(
-            StochasticPoint(p["id"], {str(k): float(v) for k, v in p["dist"].items()})
+            StochasticPoint(
+                p["id"], {str(k): _real(v, "probability") for k, v in p["dist"].items()}
+            )
             for p in obj["points"]
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -96,6 +96,16 @@ class TestGen:
         assert captured.err == "error: seed must be a non-negative integer, got -1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+    def test_bad_discount_scale_exits_1_in_one_line(self, capsys, scale):
+        argv = ("gen", "--facilities", "2", "--clients", "2", "--discount-scale", scale)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: generate: discount scale must be finite and non-negative, got {float(scale)}\n"
+        )
+        assert captured.out == ""
+
 
 class TestSolveVerify:
     def test_cardinality_round_trip(self, tmp_path):
@@ -253,8 +263,29 @@ class TestSolveVerify:
             ),
             pytest.param(
                 tiny_instance(discount="abc"), (),
-                "malformed instance JSON: could not convert string to float: 'abc'",
-                id="text-discount",
+                'error: discount must be a number, got "abc"', id="text-discount",
+            ),
+            pytest.param(
+                tiny_instance(discount=True), (),
+                "error: discount must be a number, got true", id="bool-discount",
+            ),
+            pytest.param(
+                tiny_instance(weight="2.5"), (),
+                'error: client weight must be a number, got "2.5"', id="numeric-text-client-weight",
+            ),
+            pytest.param(
+                tiny_instance(knapsack=(True, 2.0)), (),
+                "error: knapsack weight must be a number, got true", id="bool-knapsack-weight",
+            ),
+            pytest.param(
+                tiny_instance(knapsack=(1.0, "2")), (),
+                'error: knapsack budget must be a number, got "2"', id="numeric-text-budget",
+            ),
+            pytest.param(
+                edited(tiny_instance(), ("metric",), {
+                    "type": "euclidean", "coords": {"f0": [0, 0], "c0": ["1", 0], "c1": [0, 1]},
+                }), (),
+                'error: coordinate must be a number, got "1"', id="numeric-text-coordinate",
             ),
             pytest.param(
                 tiny_instance(matrix=((0, 1, 1), (1, 0), (1, 1, 0))), (),
@@ -262,8 +293,11 @@ class TestSolveVerify:
             ),
             pytest.param(
                 tiny_instance(matrix=((0, 1, "x"), (1, 0, 1), (1, 1, 0))), (),
-                "malformed instance JSON: could not convert string to float: 'x'",
-                id="text-distance",
+                'error: distance must be a number, got "x"', id="text-distance",
+            ),
+            pytest.param(
+                tiny_instance(matrix=((0, 1, "1"), (1, 0, 1), (1, 1, 0))), (),
+                'error: distance must be a number, got "1"', id="numeric-text-distance",
             ),
             pytest.param(
                 edited(tiny_instance(), ("constraint", "k"), "two"), (),
@@ -382,7 +416,11 @@ class TestStochasticCommand:
         [
             pytest.param(
                 edited(stochastic_blob(), ("points", 0, "dist"), {"c00": "half"}),
-                "could not convert string to float: 'half'", id="text-probability",
+                'probability must be a number, got "half"', id="text-probability",
+            ),
+            pytest.param(
+                edited(stochastic_blob(), ("points", 0, "dist"), {"c00": "0.5"}),
+                'probability must be a number, got "0.5"', id="numeric-text-probability",
             ),
             pytest.param(
                 edited(stochastic_blob(), ("points", 0, "dist"), [0.5]),
