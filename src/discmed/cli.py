@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
 from .instance import (
     Instance,
     InstanceError,
+    _real,
     checked,
     dump,
     from_json,
@@ -119,11 +121,16 @@ def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     report = _load_json(args.report)
     try:
-        solution = list(report["solution"])
-        alpha = float(report["alpha"])
-        beta = float(report["beta"])
-    except (KeyError, TypeError, ValueError) as exc:
+        solution = report["solution"]
+        alpha = _real(report["alpha"], "report alpha")
+        beta = _real(report["beta"], "report beta")
+    except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed report: {exc}") from exc
+    if not (isinstance(solution, list) and all(isinstance(f, str) for f in solution)):
+        raise InstanceError(f"report solution must be a list of ids, got {json.dumps(solution)}")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):  # the verdict is strict JSON, which has no nan or inf
+            raise InstanceError(f"report {name} must be finite, got {value}")
     cert = check_bicriteria(inst, solution, alpha, beta)
     _emit(cert, args.out)
     return 0 if cert["holds"] else 2

@@ -353,6 +353,9 @@ def validate(inst: Instance) -> list[str]:
         out.append("duplicate facility ids")
     if len(set(inst.clients)) != len(inst.clients):
         out.append("duplicate client ids")
+    shared = set(inst.facilities) & set(inst.clients)
+    if shared:
+        out.append(f"ids shared by a facility and a client: {sorted(shared)}")
     for j in inst.clients:
         for what, values in (("discount", inst.discounts), ("weight", inst.client_weights)):
             if j not in values:

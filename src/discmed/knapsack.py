@@ -614,7 +614,8 @@ def solve_knapmeddis(
     without a solve. A task whose LP returns the vertex of the chain's last
     rounded task reuses that task's split and rounding; ``extras["reused"]``
     counts those tasks, all of them feasible. A missing entry of ``caps``
-    takes its theoretical value.
+    takes its theoretical value. The chains are spread over ``jobs`` worker
+    processes, never more than there are chains; with one, they run here.
     """
     if not isinstance(inst.constraint, Knapsack):
         raise InstanceError("solve_knapmeddis needs a knapsack constraint")
@@ -638,8 +639,9 @@ def solve_knapmeddis(
     chains = _task_table(inst, rho, delta, epsilon, (cap1, cap2), max_candidates)
     n_tasks = sum(map(len, chains))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(chains))  # a fork pool starts all its workers at the first task
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_solve_chain, chains, itertools.repeat(tau), chunksize=4))
     else:
         solved = [_solve_chain(chain, tau) for chain in chains]

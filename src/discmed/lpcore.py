@@ -111,30 +111,6 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
         target -= f * prow  # in place on the row view
 
 
-def _redundant_rows(deps: np.ndarray, art_rows: list[int], rels: list[str], dropped: list[int]):
-    """Equality rows to leave out of the certificate, one per dropped tableau row.
-
-    Row k of ``deps`` holds the multipliers, on the original rows
-    ``art_rows``, of a row combination that vanishes on every real column.
-    Slack columns are unit columns, so only equality rows carry weight. The
-    rows left out must meet these dependencies in a nonsingular block: the
-    dropped rows themselves when they qualify, else rows that Gaussian
-    elimination picks.
-    """
-    pos = {r: k for k, r in enumerate(art_rows)}
-    own = all(rels[i] == "=" for i in dropped)
-    if own and abs(np.linalg.det(deps[:, [pos[i] for i in dropped]])) > PIVOT_TOL:
-        return set(dropped)
-    cand = [r for r in art_rows if rels[r] == "="]
-    D = deps[:, [pos[r] for r in cand]]
-    out = set()
-    for k in range(len(D)):  # largest entry of each reduced dependency as pivot
-        j = int(np.abs(D[k]).argmax())
-        out.add(cand[j])
-        D[k + 1 :] -= np.outer(D[k + 1 :, j] / D[k, j], D[k])
-    return out
-
-
 def _slacks(rels: list[str], n: int) -> tuple[dict, dict]:
     """Column and sign of each inequality row's slack: the slacks follow the
     ``n`` structural columns in row order, +1 for "<=" and -1 for ">="."""
@@ -344,7 +320,11 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
             side[pivcol] = 0.0
             side[old] = 1.0
         if drop:
-            redundant = _redundant_rows(T[drop, n + n_slack :], need_art, rels, drop)
+            # Leave out the row of each artificial basic in a dropped row l. Its column is e_l, so
+            # dropped row i's dependency e_i'B^-1 is +-delta_il on that row: a diagonal block, and
+            # the certificate stays independent. The row is an "=": an inequality's artificial is
+            # parallel to its slack, pivoted in by drive-out if nonbasic and e_k, k != i, if basic.
+            redundant = {need_art[basis[i] - n - n_slack] for i in drop}
             keep = np.array([i for i in range(m) if i not in set(drop)], dtype=np.int64)
             T = T[keep, :]
             xB = xB[keep]

@@ -60,6 +60,22 @@ def tiny_instance(matrix=UNIT_TRIANGLE, discount=0.0, weight=1.0, knapsack=None)
     return blob
 
 
+REPORT = {"solution": ["f0"], "alpha": 1.0, "beta": 1.0}  # a well-formed report of tiny_instance
+
+
+def shared_id_instance():
+    """Facilities a, b and clients a, c: the facility a and the client a lie 1 apart."""
+    return {
+        "facilities": [{"id": "a"}, {"id": "b"}],
+        "clients": [{"id": "a", "discount": 0.0}, {"id": "c", "discount": 0.0}],
+        "metric": {
+            "type": "explicit",
+            "matrix": [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]],
+        },
+        "constraint": {"type": "cardinality", "k": 1},
+    }
+
+
 def edited(blob, path, value):
     """``blob`` with the entry at ``path`` (keys and indices) set to ``value``."""
     *head, last = path
@@ -151,6 +167,51 @@ class TestSolveVerify:
         rep["beta"] = 1e-9  # impossible promise
         rep_path.write_text(json.dumps(rep))
         assert run_cli("verify", str(inst_path), str(rep_path)) == 2
+
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            pytest.param(
+                {**REPORT, "alpha": True}, "error: report alpha must be a number, got true",
+                id="bool-alpha",
+            ),
+            pytest.param(
+                {**REPORT, "alpha": None}, "error: report alpha must be a number, got null",
+                id="null-alpha",
+            ),
+            pytest.param(
+                {**REPORT, "beta": "5.28"}, 'error: report beta must be a number, got "5.28"',
+                id="text-beta",
+            ),
+            pytest.param(
+                {**REPORT, "alpha": math.nan}, "error: report alpha must be finite, got nan",
+                id="nan-alpha",
+            ),
+            pytest.param(
+                {**REPORT, "beta": math.inf}, "error: report beta must be finite, got inf",
+                id="inf-beta",
+            ),
+            pytest.param(
+                {**REPORT, "solution": "f0"},
+                'error: report solution must be a list of ids, got "f0"', id="text-solution",
+            ),
+            pytest.param(
+                {**REPORT, "solution": ["f0", 1]},
+                'error: report solution must be a list of ids, got ["f0", 1]', id="int-in-solution",
+            ),
+            pytest.param(
+                {"solution": ["f0"], "beta": 1.0}, "error: malformed report: 'alpha'", id="no-alpha"
+            ),
+        ],
+    )
+    def test_malformed_report_exits_1(self, tmp_path, capsys, report, message):
+        inst_path = tmp_path / "inst.json"
+        rep_path = tmp_path / "rep.json"
+        inst_path.write_text(json.dumps(tiny_instance()))
+        rep_path.write_text(json.dumps(report))  # NaN and Infinity tokens where given
+        assert run_cli("verify", str(inst_path), str(rep_path)) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
 
     def test_solve_then_verify_sweep(self, tmp_path):
         # certificates (including the oracle one) hold across seeds end to end
@@ -330,6 +391,11 @@ class TestSolveVerify:
             pytest.param(
                 edited(tiny_instance(), ("facilities", 0, "id"), None), (),
                 "error: facility id null is not a string", id="null-facility-id",
+            ),
+            pytest.param(
+                shared_id_instance(), (),
+                "error: invalid instance: ids shared by a facility and a client: ['a']",
+                id="facility-and-client-share-an-id",
             ),
         ],
     )

@@ -63,6 +63,14 @@ class TestValidate:
         assert expected
         assert [v for v in m.violations() if v.startswith("triangle")] == expected
 
+    def test_id_shared_by_a_facility_and_a_client_is_reported(self):
+        # the metric's points are facilities a, b then clients a, c
+        m = I.MetricSpace(("a", "b", "a", "c"), np.ones((4, 4)) - np.eye(4))
+        inst = I.Instance(
+            ("a", "b"), ("a", "c"), m, {"a": 0.0, "c": 0.0}, {"a": 1.0, "c": 1.0}, I.Cardinality(1)
+        )
+        assert I.validate(inst) == ["ids shared by a facility and a client: ['a']"]
+
     def test_normalization_violation(self):
         m = I.MetricSpace(("a", "b"), np.array([[0.0, 0.5], [0.5, 0.0]]))
         inst = I.Instance(("a",), ("b",), m, {"b": 0.0}, {"b": 1.0}, I.Cardinality(1))

@@ -682,6 +682,38 @@ class TestSolveKnapMedDis:
         # the pool pickles each ExtendedInstance; workers fill its cached C' and F0 facts
         assert seq.to_json() == par.to_json()
 
+    @pytest.mark.parametrize("keep, jobs", [(None, 10**6), (1, 4)], ids=["all-chains", "one-chain"])
+    def test_workers_never_outnumber_chains(self, monkeypatch, keep, jobs):
+        # the fake pool records its size and starts no process
+        made, counted = [], []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        task_table = knapsack._task_table
+
+        def few_chains(*args):
+            chains = task_table(*args)[:keep]
+            counted.append(len(chains))
+            return chains
+
+        monkeypatch.setattr(knapsack, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(knapsack, "_task_table", few_chains)
+        inst = knap_instance(seed=11, nf=3, nc=3, scale=0.3)
+        solve_knapmeddis(inst, tau=1.9, rho=0.5, epsilon=0.5, jobs=jobs)
+        assert (counted == [1]) if keep else (counted[0] > 1)
+        assert made == ([] if keep else counted)  # one chain runs in this process
+
     @pytest.mark.parametrize(
         "seed, evaluated, best_f0, ests",
         [

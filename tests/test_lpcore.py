@@ -123,8 +123,15 @@ def test_redundant_equalities_are_tolerated():
 
 
 def test_certificate_count_error_names_tableau_and_dropped_rows(monkeypatch):
-    # keeping the dropped row's equality in the certificate gives one condition too many
-    monkeypatch.setattr(lpcore, "_redundant_rows", lambda *args: set())
+    # artificials that name no original row leave the dropped row's equality
+    # in the certificate: one condition too many
+    tableau = lpcore._tableau
+
+    def unnamed(*args):
+        *setup, art = tableau(*args)
+        return (*setup, [-1] * len(art))
+
+    monkeypatch.setattr(lpcore, "_tableau", unnamed)
     lp = LinearProgram(2, objective=[1.0, 0.0], lo=[0.0, 0.0], hi=[2.0, 2.0])
     lp.add_row([1.0, 1.0], "=", 2.0)
     lp.add_row([2.0, 2.0], "=", 4.0)
@@ -307,6 +314,109 @@ def same_result(a, b) -> bool:
         and a.basis_certificate == b.basis_certificate
         and a.pivots == b.pivots
     )
+
+
+class NotedRows(list):
+    """A list that notes each item read by index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, k):
+        self.read.append(super().__getitem__(k))
+        return self.read[-1]
+
+
+def solve_noting_left_out(lp: LinearProgram):
+    """``solve(lp)`` and the rows it left out of the certificate: the rows of
+    the artificials still basic in dropped tableau rows."""
+    tableau, noted = lpcore._tableau, []
+
+    def noting(*args):
+        *setup, art = tableau(*args)
+        noted.append(NotedRows(art))
+        return (*setup, noted[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpcore, "_tableau", noting)
+        res = solve(lp)
+    return res, noted[0].read
+
+
+def test_certificate_leaves_out_the_row_of_an_artificial_off_its_own_row():
+    # An auxiliary LP of the seed-1 lp_heavy corpus. Phase 1 drops a tableau
+    # row whose basic artificial belongs to another original row; that row,
+    # an equality, is the one left out of the certificate. Values, objective
+    # and pivots were recorded before the rule changed; only the certificate moved.
+    objective = [
+        -39.06524371379125, 0.0, -30.0840525413536, 0.0, 9.822435668538002, 9.822435668538002,
+        0.0, -17.153602309195946, 0.0, 27.7208985512135, 0.0,
+    ]
+    rows = [
+        ((2, 9), "=", 1), ((7, 9), "=", 1), ((4, 5), "=", 1), ((0, 9), "=", 1),
+        ((4, 5), "=", 1), ((0, 9), "=", 1), ((2, 9), "=", 1), ((7, 9), "=", 1),
+        ((2, 9), "=", 1), ((0, 2), "=", 1), ((2, 7), "=", 1), ((7,), "<=", 1),
+        ((9,), "<=", 1), ((9,), "<=", 1), ((0,), "<=", 1), ((2,), "<=", 1),
+        ((9,), "<=", 1), ((2,), "<=", 1), ((0,), "<=", 1), ((0,), "<=", 1),
+        ((0, 9), "=", 1), ((4, 5), "=", 1), ((2, 7), "=", 1), ((4, 5), "<=", 1),
+        (tuple(range(11)), "<=", 3),
+    ]
+    lp = LinearProgram(11, objective=objective)
+    for support, rel, rhs in rows:
+        lp.add_row({v: 1.0 for v in support}, rel, rhs)
+    res, left_out = solve_noting_left_out(lp)
+    assert res.values.tolist() == [0.5, 0.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0]
+    assert float(res.objective_value).hex() == "-0x1.377f3d51be45dp+4"
+    assert res.pivots == (8, 0)
+    assert res.basis_certificate == [
+        ("row", 0), ("row", 1), ("row", 2), ("row", 3), ("row", 9), ("row", 24),
+        ("lo", 3), ("lo", 5), ("lo", 6), ("lo", 8), ("lo", 10),
+    ]
+    assert sorted(left_out) == [4, 5, 6, 7, 8, 10, 20, 21, 22]
+    assert {lp.row_rel[i] for i in left_out} == {"="}
+    assert_certified(lp, res)
+
+
+def laminar_lp(rng: np.random.Generator, n: int, m: int) -> LinearProgram:
+    """Small LP through one integer point whose equality rows include sums
+    of earlier equality rows and repeats of them, as an auxiliary LP's
+    laminar ball rows and identical client rows do."""
+    lo = rng.choice([-1.0, 0.0], size=n)
+    hi = lo + rng.choice([1.0, 2.0], size=n)
+    lp = LinearProgram(n, objective=rng.choice([-1.0, 0.0, 1.0], size=n), lo=lo, hi=hi)
+    point = lo + rng.integers(0, hi - lo + 1)
+    eqs = []
+    for _ in range(m):
+        kind = rng.random()
+        if eqs and kind < 0.5:  # a sum of earlier equality rows, or a repeat of one
+            picked = rng.choice(len(eqs), size=int(rng.integers(1, min(3, len(eqs)) + 1)))
+            a = sum(eqs[k] for k in picked)
+            rel = "="
+        else:
+            a = rng.integers(0, 2, size=n).astype(float)
+            rel = "=" if kind < 0.8 else str(rng.choice(["<=", ">="]))
+        if rel == "=":
+            eqs.append(a)
+        lp.add_row(a, rel, float(a @ point))
+    return lp
+
+
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_dependent_equality_rows_give_certified_vertices(n, m, seed):
+    lp = laminar_lp(np.random.default_rng(seed), n, m)
+    res, left_out = solve_noting_left_out(lp)
+    assert_certified(lp, res)
+    assert all(lp.row_rel[i] == "=" for i in left_out)
+    if linprog is not None:
+        ref = highs(lp)
+        assert ref.status == 0, ref.message
+        assert res.objective_value == pytest.approx(ref.fun, abs=1e-7)
 
 
 def two_row_lp(rel: str = "<=") -> LinearProgram:
