@@ -185,13 +185,12 @@ def greedy_open_set(inst: Instance) -> list[int]:
     no such addition lowers the cost (Jain, Mahdian and Saberi, STOC 2002).
     Empty when not even one facility fits.
     """
-    nf = len(inst.facilities)
-    rows = family_rows(inst, inst.facilities)
-    R = np.zeros((len(rows), nf))
-    for r, (coeffs, _, _) in enumerate(rows):
-        R[r, list(coeffs)] = list(coeffs.values())
-    rhs = np.array([row[2] for row in rows])
-    load = np.zeros(len(rows))
+    family = LinearProgram(len(inst.facilities))
+    for row in family_rows(inst, inst.facilities):
+        family.add_row(*row)
+    R = family.matrix()
+    rhs = np.array(family.row_rhs)
+    load = np.zeros(family.n_rows)
     nearest = np.full(len(inst.clients), np.inf)
     cost = np.inf
     chosen: list[int] = []

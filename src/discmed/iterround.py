@@ -89,17 +89,20 @@ class RoundState:
         return "\n".join(lines)
 
 
+def radial_factor(tau: float, h: int) -> float:
+    """(3 tau^h - 1)/(tau^h - 1): a client's certified radius in units of D_level."""
+    return (3.0 * tau**h - 1.0) / (tau**h - 1.0)
+
+
 def bicriteria_factors(tau: float, h: int) -> tuple[float, float]:
     """(alpha, beta) of the discount-inflation guarantee at step size h."""
-    radial = (3.0 * tau**h - 1.0) / (tau**h - 1.0)
+    radial = radial_factor(tau, h)
     return tau * radial, radial * discretization_ratio(tau)
 
 
 def nearest_open_distance_bound(state: RoundState, key: str) -> float:
-    """Certified radius (3 tau^h - 1)/(tau^h - 1) * D_level for a client."""
-    tau = state.dm.tau
-    radial = (3.0 * tau**state.h - 1.0) / (tau**state.h - 1.0)
-    return radial * state.dm.level_value(state.level[key])
+    """Certified radius radial_factor(tau, h) * D_level for a client."""
+    return radial_factor(state.dm.tau, state.h) * state.dm.level_value(state.level[key])
 
 
 def update_cstar(state: RoundState, key: str) -> bool:
@@ -154,13 +157,11 @@ def _aux_lp(state: RoundState, rows) -> tuple[LinearProgram, float]:
         for c in state.B[key]:
             coeff[c] += state.gain[c, cj] - head
     lp = LinearProgram(bs.n_copies, objective=coeff)
-    for key in sorted(state.C0):
-        lp.add_row({c: 1.0 for c in state.F[key]}, "=", 1.0)
-    for key in sorted(state.C1):
-        if state.B[key]:
-            lp.add_row({c: 1.0 for c in state.B[key]}, "<=", 1.0)
-    for key in sorted(state.Cstar):
-        lp.add_row({c: 1.0 for c in state.F[key]}, "=", 1.0)
+    balls = [(frozenset(state.F[key]), "=") for key in sorted(state.C0)]
+    balls += [(frozenset(state.B[key]), "<=") for key in sorted(state.C1) if state.B[key]]
+    balls += [(frozenset(state.F[key]), "=") for key in sorted(state.Cstar)]
+    for ball, rel in dict.fromkeys(balls):  # each distinct row once, where it first comes
+        lp.add_row(dict.fromkeys(ball, 1.0), rel, 1.0)
     for coeffs, rel, rhs in rows:
         lp.add_row(coeffs, rel, rhs)
     return lp, const

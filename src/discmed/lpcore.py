@@ -1,11 +1,11 @@
-"""Dense LP solver whose optima are always vertices (basic feasible solutions).
+"""LP solver whose optima are always vertices (basic feasible solutions).
 
-Two-phase bounded-variable simplex over float64 with Bland's rule, so the
-returned point is determined by ``n_vars`` linearly independent tight
-constraints and re-solving the same program reproduces the same vertex.
-Equality rows enter the tableau directly; they are never split into two
-inequalities (that would break the basis counting downstream rounding
-relies on).
+Two-phase bounded-variable simplex over a dense float64 tableau with Bland's
+rule, so the returned point is determined by ``n_vars`` linearly independent
+tight constraints and re-solving the same program reproduces the same vertex.
+Rows are sparse, each an equality or a "<=" inequality. Equality rows enter
+the tableau directly; they are never split into two inequalities (that would
+break the basis counting downstream rounding relies on).
 """
 
 from __future__ import annotations
@@ -34,15 +34,21 @@ class UnboundedLP(LPError):
 
 @dataclass
 class LinearProgram:
-    """min objective . x  subject to rows and finite per-variable bounds."""
+    """min objective . x  subject to rows and finite per-variable bounds.
+
+    Row i reads sum_j a_ij x_j ``row_rel[i]`` ``row_rhs[i]`` with relation
+    "=" or "<="; its nonzero entries a_ij are kept as (row, var, coeff) lists.
+    """
 
     n_vars: int
     objective: np.ndarray = None  # type: ignore[assignment]
     lo: np.ndarray = None  # type: ignore[assignment]
     hi: np.ndarray = None  # type: ignore[assignment]
-    row_coeffs: list = field(default_factory=list)
     row_rel: list[str] = field(default_factory=list)
     row_rhs: list[float] = field(default_factory=list)
+    entry_row: list[int] = field(default_factory=list)
+    entry_var: list[int] = field(default_factory=list)
+    entry_coeff: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         n = self.n_vars
@@ -50,19 +56,13 @@ class LinearProgram:
         self.lo = np.zeros(n) if self.lo is None else np.asarray(self.lo, float)
         self.hi = np.ones(n) if self.hi is None else np.asarray(self.hi, float)
 
-    def add_row(self, coeffs, rel: str, rhs: float) -> None:
-        """coeffs is a dense vector or a {var index: coefficient} dict."""
-        if rel not in ("<=", "=", ">="):
-            raise LPError(f"unknown relation {rel!r}")
-        if isinstance(coeffs, dict):
-            dense = np.zeros(self.n_vars)
-            for k, v in coeffs.items():
-                dense[k] = v
-        else:
-            dense = np.asarray(coeffs, dtype=float)
-            if dense.shape != (self.n_vars,):
-                raise LPError("coefficient vector has wrong length")
-        self.row_coeffs.append(dense)
+    def add_row(self, coeffs: dict, rel: str, rhs: float) -> None:
+        """Add the row sum of ``coeffs[var] * x[var]`` ``rel`` ``rhs``."""
+        if rel not in ("=", "<="):
+            raise LPError(f"relation {rel!r} is neither '=' nor '<='")
+        self.entry_row += [len(self.row_rhs)] * len(coeffs)
+        self.entry_var += coeffs
+        self.entry_coeff += coeffs.values()
         self.row_rel.append(rel)
         self.row_rhs.append(float(rhs))
 
@@ -71,9 +71,10 @@ class LinearProgram:
         return len(self.row_rhs)
 
     def matrix(self) -> np.ndarray:
-        if not self.row_coeffs:
-            return np.zeros((0, self.n_vars))
-        return np.vstack(self.row_coeffs)
+        """The rows as a dense n_rows x n_vars array."""
+        A = np.zeros((self.n_rows, self.n_vars))
+        A[self.entry_row, self.entry_var] = self.entry_coeff
+        return A
 
 
 @dataclass
@@ -111,19 +112,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
         target -= f * prow  # in place on the row view
 
 
-def _slacks(rels: list[str], n: int) -> tuple[dict, dict]:
-    """Column and sign of each inequality row's slack: the slacks follow the
-    ``n`` structural columns in row order, +1 for "<=" and -1 for ">="."""
-    slack_of_row = {}
-    slack_sign = {}
-    for i, rel in enumerate(rels):
-        if rel != "=":
-            slack_of_row[i] = n + len(slack_of_row)
-            slack_sign[i] = 1.0 if rel == "<=" else -1.0
-    return slack_of_row, slack_sign
-
-
-def _tableau(A, b, lo, hi, slack_of_row, slack_sign, start=None):
+def _tableau(A, b, lo, hi, slack_of_row, start=None):
     """Reduced tableau, basis, sides, basic values, column bounds and
     artificial rows of the first basis.
 
@@ -152,7 +141,7 @@ def _tableau(A, b, lo, hi, slack_of_row, slack_sign, start=None):
     art = [
         i for i in range(m)
         if i not in basic
-        and (i not in slack_of_row or (start is None and resid[i] * slack_sign[i] < 0.0))
+        and (i not in slack_of_row or (start is None and resid[i] < 0.0))
     ]
     if art and start is not None:
         return None
@@ -163,7 +152,7 @@ def _tableau(A, b, lo, hi, slack_of_row, slack_sign, start=None):
     T[:, -1] = resid  # carried through the pivots: becomes the basic values
     basis = np.empty(m, dtype=np.int64)
     for i, s in slack_of_row.items():
-        T[i, s] = slack_sign[i]
+        T[i, s] = 1.0
         basis[i] = s
     for k, i in enumerate(art):
         T[i, N + k] = 1.0 if resid[i] >= 0 else -1.0
@@ -217,12 +206,14 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
     b = np.asarray(lp.row_rhs, float)
     rels = list(lp.row_rel)
     m = len(rels)
-    slack_of_row, slack_sign = _slacks(rels, n)
+    # one slack per "<=" row, after the n structural columns in row order
+    ineq = [i for i, rel in enumerate(rels) if rel == "<="]
+    slack_of_row = dict(zip(ineq, range(n, n + len(ineq))))
     n_slack = len(slack_of_row)
 
-    begun = _tableau(A, b, lo, hi, slack_of_row, slack_sign, start)
+    begun = _tableau(A, b, lo, hi, slack_of_row, start)
     if begun is None:  # the start was refused
-        begun = _tableau(A, b, lo, hi, slack_of_row, slack_sign)
+        begun = _tableau(A, b, lo, hi, slack_of_row)
     T, basis, side, xB, lob, upb, need_art = begun
     n_art = len(need_art)
     N = n + n_slack + n_art
@@ -351,12 +342,7 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
         for i in range(m_full):
             scale = max(1.0, abs(b[i]))
             err = lhs[i] - b[i]
-            ok = (
-                abs(err) <= FEAS_TOL * scale
-                if rels[i] == "="
-                else (err <= FEAS_TOL * scale if rels[i] == "<=" else err >= -FEAS_TOL * scale)
-            )
-            if not ok:
+            if not (abs(err) if rels[i] == "=" else err) <= FEAS_TOL * scale:
                 raise LPError(f"post-hoc feasibility failed on row {i}: residual {err:.3g}")
     outside = np.nonzero((values < lo - FEAS_TOL) | (values > hi + FEAS_TOL))[0]
     if len(outside):

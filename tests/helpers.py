@@ -56,10 +56,8 @@ def enumerate_vertices(lp: LinearProgram, feas_tol: float = 1e-9):
             scale = max(1.0, abs(b[i]))
             if rel == "=":
                 feas &= np.abs(lhs[:, i] - b[i]) <= feas_tol * scale
-            elif rel == "<=":
-                feas &= lhs[:, i] <= b[i] + feas_tol * scale
             else:
-                feas &= lhs[:, i] >= b[i] - feas_tol * scale
+                feas &= lhs[:, i] <= b[i] + feas_tol * scale
     pts = points[feas]
     objs = pts @ lp.objective
     return pts, objs
@@ -71,6 +69,14 @@ def vertex_enum_optimum(lp: LinearProgram) -> float | None:
     if len(objs) == 0:
         return None
     return float(objs.min())
+
+
+def add_dense_row(lp: LinearProgram, a, rel: str, rhs: float) -> None:
+    """Add the row ``a @ x rel rhs`` for a dense ``a`` and a relation "=",
+    "<=" or ">="; a ">=" row goes in negated, as the "<=" row it equals."""
+    if rel == ">=":
+        a, rel, rhs = -np.asarray(a), "<=", -rhs
+    lp.add_row({j: v for j, v in enumerate(np.asarray(a, float).tolist()) if v}, rel, rhs)
 
 
 def random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
@@ -87,11 +93,11 @@ def random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
         margin = float(rng.uniform(0.0, 1.0))
         base = float(a @ x0)
         if rel == "<=":
-            lp.add_row(a, rel, base + margin)
+            add_dense_row(lp, a, rel, base + margin)
         elif rel == ">=":
-            lp.add_row(a, rel, base - margin)
+            add_dense_row(lp, a, rel, base - margin)
         else:
-            lp.add_row(a, rel, base)
+            add_dense_row(lp, a, rel, base)
     return lp
 
 

@@ -10,7 +10,7 @@ from discmed.fractional import build_natural_lp, solve_natural
 from discmed.knapsack import ExtendedInstance
 from discmed.lpcore import InfeasibleLP, LinearProgram, LPError, solve
 
-from .helpers import certificate_matrix, random_feasible_lp, vertex_enum_optimum
+from .helpers import add_dense_row, certificate_matrix, random_feasible_lp, vertex_enum_optimum
 
 try:
     from scipy.optimize import linprog  # test-only yardstick; never a runtime dependency
@@ -20,7 +20,7 @@ except ImportError:
 
 def test_single_variable_lower_bound():
     lp = LinearProgram(1, objective=[1.0], lo=[0.0], hi=[10.0])
-    lp.add_row([1.0], ">=", 3.0)
+    lp.add_row({0: -1.0}, "<=", -3.0)  # x0 >= 3
     res = solve(lp)
     assert res.values[0] == pytest.approx(3.0, abs=1e-9)
     assert res.objective_value == pytest.approx(3.0, abs=1e-9)
@@ -34,7 +34,7 @@ def test_unit_square_corner():
 
 def test_equality_row_enters_directly():
     lp = LinearProgram(2, objective=[1.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
-    lp.add_row([1.0, 1.0], "=", 1.0)
+    lp.add_row({0: 1.0, 1: 1.0}, "=", 1.0)
     res = solve(lp)
     assert res.objective_value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.values, [1.0, 0.0], atol=1e-7)
@@ -43,10 +43,10 @@ def test_equality_row_enters_directly():
 
 def test_infeasible_detected():
     lp = LinearProgram(1, lo=[0.0], hi=[10.0])
-    lp.add_row([1.0], ">=", 2.0)
-    lp.add_row([1.0], "<=", 1.0)
+    lp.add_row({0: -1.0}, "<=", -2.0)  # x0 >= 2
+    lp.add_row({0: 1.0}, "<=", 1.0)
     message = (
-        r"phase-1 optimum is positive \(1\): the artificial of row 0 \(>=\) stays basic at 1 "
+        r"phase-1 optimum is positive \(1\): the artificial of row 0 \(<=\) stays basic at 1 "
         r"on a 2x4 tableau"
     )
     with pytest.raises(InfeasibleLP, match=message):
@@ -77,7 +77,7 @@ def test_returned_point_is_a_vertex():
         # the certificate's equations really are tight at the solution
         for kind, idx in res.basis_certificate:
             if kind == "row":
-                lhs = float(lp.row_coeffs[idx] @ res.values)
+                lhs = float(lp.matrix()[idx] @ res.values)
                 assert lhs == pytest.approx(lp.row_rhs[idx], abs=1e-6)
             elif kind == "lo":
                 assert res.values[idx] == pytest.approx(lp.lo[idx], abs=1e-6)
@@ -106,18 +106,16 @@ def test_feasibility_of_returned_point():
             scale = max(1.0, abs(lp.row_rhs[i]))
             if rel == "=":
                 assert abs(lhs[i] - lp.row_rhs[i]) <= 1e-7 * scale
-            elif rel == "<=":
-                assert lhs[i] <= lp.row_rhs[i] + 1e-7 * scale
             else:
-                assert lhs[i] >= lp.row_rhs[i] - 1e-7 * scale
+                assert lhs[i] <= lp.row_rhs[i] + 1e-7 * scale
         assert np.all(res.values >= lp.lo - 1e-7)
         assert np.all(res.values <= lp.hi + 1e-7)
 
 
 def test_redundant_equalities_are_tolerated():
     lp = LinearProgram(2, objective=[1.0, 0.0], lo=[0.0, 0.0], hi=[2.0, 2.0])
-    lp.add_row([1.0, 1.0], "=", 2.0)
-    lp.add_row([2.0, 2.0], "=", 4.0)  # same hyperplane
+    lp.add_row({0: 1.0, 1: 1.0}, "=", 2.0)
+    lp.add_row({0: 2.0, 1: 2.0}, "=", 4.0)  # same hyperplane
     res = solve(lp)
     assert res.objective_value == pytest.approx(0.0, abs=1e-9)
 
@@ -133,8 +131,8 @@ def test_certificate_count_error_names_tableau_and_dropped_rows(monkeypatch):
 
     monkeypatch.setattr(lpcore, "_tableau", unnamed)
     lp = LinearProgram(2, objective=[1.0, 0.0], lo=[0.0, 0.0], hi=[2.0, 2.0])
-    lp.add_row([1.0, 1.0], "=", 2.0)
-    lp.add_row([2.0, 2.0], "=", 4.0)
+    lp.add_row({0: 1.0, 1: 1.0}, "=", 2.0)
+    lp.add_row({0: 2.0, 1: 2.0}, "=", 4.0)
     message = (
         r"basis certificate has 3 conditions for 2 variables on a 1x2 tableau "
         r"\(1 of 2 rows dropped\)"
@@ -145,7 +143,7 @@ def test_certificate_count_error_names_tableau_and_dropped_rows(monkeypatch):
 
 def test_fixed_variable_bounds():
     lp = LinearProgram(2, objective=[-1.0, -1.0], lo=[1.0, 0.0], hi=[1.0, 1.0])
-    lp.add_row([1.0, 1.0], "<=", 1.5)
+    lp.add_row({0: 1.0, 1: 1.0}, "<=", 1.5)
     res = solve(lp)
     assert res.values[0] == pytest.approx(1.0)
     assert res.values[1] == pytest.approx(0.5, abs=1e-9)
@@ -153,7 +151,7 @@ def test_fixed_variable_bounds():
 
 def test_certificate_after_dropping_a_redundant_row():
     # Identical "= 1" rows plus a "<= 1" row over the same pair (x6, x7), as
-    # in an auxiliary LP whose ball row repeats an outer-ball row. Phase 1
+    # auxiliary LPs held while each client stated its own ball. Phase 1
     # drops a tableau row whose artificial cannot leave; the certificate must
     # still list n linearly independent tight conditions.
     rows = [
@@ -172,7 +170,7 @@ def test_certificate_after_dropping_a_redundant_row():
     assert np.linalg.matrix_rank(mat, tol=1e-8) == lp.n_vars
     for kind, idx in res.basis_certificate:
         if kind == "row":
-            assert float(lp.row_coeffs[idx] @ res.values) == pytest.approx(lp.row_rhs[idx])
+            assert float(lp.matrix()[idx] @ res.values) == pytest.approx(lp.row_rhs[idx])
 
 
 def knapsack_extended_instance():
@@ -210,26 +208,25 @@ def degenerate_lp(rng: np.random.Generator, n: int, m: int) -> LinearProgram:
     hi = lo + rng.choice([0.0, 1.0, 2.0], size=n, p=[0.1, 0.6, 0.3])
     lp = LinearProgram(n, objective=rng.choice([-1.0, 0.0, 1.0], size=n), lo=lo, hi=hi)
     point = lo + rng.integers(0, hi - lo + 1)
+    drawn = []
     for _ in range(m):
-        if lp.n_rows and rng.random() < 0.3:
-            k = int(rng.integers(lp.n_rows))
-            a, rhs = lp.row_coeffs[k], lp.row_rhs[k]
+        if drawn and rng.random() < 0.3:
+            a, rhs = drawn[int(rng.integers(len(drawn)))]
         else:
             a = rng.integers(-2, 3, size=n).astype(float)
             rhs = float(a @ point) + float(rng.choice([0.0, 0.0, 0.0, 1.0, -1.0]))
-        lp.add_row(a, str(rng.choice(["<=", "=", ">="])), rhs)
+        drawn.append((a, rhs))
+        add_dense_row(lp, a, str(rng.choice(["<=", "=", ">="])), rhs)
     return lp
 
 
 def highs(lp: LinearProgram):
     A, b = lp.matrix(), np.asarray(lp.row_rhs)
-    rel = np.array(lp.row_rel)
-    ub = rel != "="
-    sign = np.where(rel[ub] == "<=", 1.0, -1.0)
+    ub = np.array(lp.row_rel) == "<="
     return linprog(
         lp.objective,
-        A_ub=A[ub] * sign[:, None] if ub.any() else None,
-        b_ub=b[ub] * sign if ub.any() else None,
+        A_ub=A[ub] if ub.any() else None,
+        b_ub=b[ub] if ub.any() else None,
         A_eq=A[~ub] if (~ub).any() else None,
         b_eq=b[~ub] if (~ub).any() else None,
         bounds=list(zip(lp.lo, lp.hi)),
@@ -244,9 +241,10 @@ def assert_certified(lp: LinearProgram, res) -> None:
     assert mat.shape[0] == n
     assert np.linalg.matrix_rank(mat, tol=1e-8) == n
     bound = {"lo": lp.lo, "hi": lp.hi}
+    A = lp.matrix()
     for kind, idx in res.basis_certificate:
         if kind == "row":
-            assert lp.row_coeffs[idx] @ res.values == pytest.approx(lp.row_rhs[idx], abs=1e-7)
+            assert A[idx] @ res.values == pytest.approx(lp.row_rhs[idx], abs=1e-7)
         else:
             assert res.values[idx] == pytest.approx(bound[kind][idx], abs=1e-7)
 
@@ -345,7 +343,8 @@ def solve_noting_left_out(lp: LinearProgram):
 
 
 def test_certificate_leaves_out_the_row_of_an_artificial_off_its_own_row():
-    # An auxiliary LP of the seed-1 lp_heavy corpus. Phase 1 drops a tableau
+    # An auxiliary LP of the seed-1 lp_heavy corpus, with the repeated ball
+    # rows each client stated while it had its own row. Phase 1 drops a tableau
     # row whose basic artificial belongs to another original row; that row,
     # an equality, is the one left out of the certificate. Values, objective
     # and pivots were recorded before the rule changed; only the certificate moved.
@@ -381,7 +380,7 @@ def test_certificate_leaves_out_the_row_of_an_artificial_off_its_own_row():
 def laminar_lp(rng: np.random.Generator, n: int, m: int) -> LinearProgram:
     """Small LP through one integer point whose equality rows include sums
     of earlier equality rows and repeats of them, as an auxiliary LP's
-    laminar ball rows and identical client rows do."""
+    laminar ball rows do (and its client rows did, before each ball had one row)."""
     lo = rng.choice([-1.0, 0.0], size=n)
     hi = lo + rng.choice([1.0, 2.0], size=n)
     lp = LinearProgram(n, objective=rng.choice([-1.0, 0.0, 1.0], size=n), lo=lo, hi=hi)
@@ -398,7 +397,7 @@ def laminar_lp(rng: np.random.Generator, n: int, m: int) -> LinearProgram:
             rel = "=" if kind < 0.8 else str(rng.choice(["<=", ">="]))
         if rel == "=":
             eqs.append(a)
-        lp.add_row(a, rel, float(a @ point))
+        add_dense_row(lp, a, rel, float(a @ point))
     return lp
 
 
@@ -420,10 +419,10 @@ def test_dependent_equality_rows_give_certified_vertices(n, m, seed):
 
 
 def two_row_lp(rel: str = "<=") -> LinearProgram:
-    """x0 + x1 ``rel`` 1 (row 0) and x0 + x1 >= 0.5 (row 1)."""
+    """x0 + x1 ``rel`` 1 (row 0) and -x0 - x1 <= -0.5 (row 1)."""
     lp = LinearProgram(2, objective=[-1.0, -2.0])
-    lp.add_row([1.0, 1.0], rel, 1.0)
-    lp.add_row([1.0, 1.0], ">=", 0.5)
+    lp.add_row({0: 1.0, 1: 1.0}, rel, 1.0)
+    lp.add_row({0: -1.0, 1: -1.0}, "<=", -0.5)
     return lp
 
 
@@ -445,10 +444,10 @@ def test_unusable_start_solves_cold(rel, start):
 
 
 def test_ill_conditioned_start_solves_cold():
-    # B = [[1, 1], [1, 1 + 1e-12]] has an inverse, but not one to trust
+    # B = [[1, 1], [-1, -1 - 1e-12]] has an inverse, but not one to trust
     lp = LinearProgram(2, objective=[-1.0, -2.0])
-    lp.add_row([1.0, 1.0], "<=", 1.0)
-    lp.add_row([1.0, 1.0 + 1e-12], ">=", 1.0)  # x = (1, 0) is feasible at this basis
+    lp.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
+    lp.add_row({0: -1.0, 1: -1.0 - 1e-12}, "<=", -1.0)  # x = (1, 0) is feasible at this basis
     cold = solve(lp)
     assert cold.pivots[0] > 0
     assert same_result(solve(lp, ({0: 0, 1: 1}, ())), cold)
@@ -526,17 +525,17 @@ def test_crash_started_natural_lp_is_pinned(kind, digest):
 
 
 @pytest.mark.parametrize(
-    "rel, message",
+    "sign, message",
     [
-        (">=", r"pivot limit exceeded in phase 1 on a 1x4 tableau"),  # slack and artificial
-        ("<=", r"pivot limit exceeded in phase 2 on a 1x3 tableau"),  # slack only
+        (-1.0, r"pivot limit exceeded in phase 1 on a 1x4 tableau"),  # slack and artificial
+        (1.0, r"pivot limit exceeded in phase 2 on a 1x3 tableau"),  # slack only
     ],
     ids=["phase-1", "phase-2"],
 )
-def test_pivot_limit_names_phase_and_tableau(monkeypatch, rel, message):
+def test_pivot_limit_names_phase_and_tableau(monkeypatch, sign, message):
     monkeypatch.setattr(lpcore, "PIVOT_LIMIT", 0)
     lp = LinearProgram(2, objective=[-1.0, -1.0])
-    lp.add_row([1.0, 1.0], rel, 1.0)
+    lp.add_row({0: sign, 1: sign}, "<=", sign)  # x0 + x1 >= 1, or x0 + x1 <= 1
     with pytest.raises(LPError, match=message):
         solve(lp)
 
@@ -551,18 +550,53 @@ def test_bound_audit_names_the_variable(monkeypatch):
         solve(lp)
 
 
-def _aux_lp_digest(monkeypatch, run) -> str:
-    """sha1 of the values and certificates of every auxiliary LP ``run`` solves."""
-    digest = hashlib.sha1()
+def test_row_audit_names_the_first_failing_row(monkeypatch):
+    # the started basis puts x0 = 0.5 in row 1; moved off by 0.5 to x0 = 1,
+    # it breaks rows 1 and 2 and keeps row 0, and phase 2 has no pivot to make
+    tableau = lpcore._tableau
+
+    def off(*args):
+        begun = tableau(*args)
+        begun[3][1] += 0.5  # the basic value of row 1
+        return begun
+
+    monkeypatch.setattr(lpcore, "_tableau", off)
+    lp = LinearProgram(2)
+    lp.add_row({0: 1.0, 1: 1.0}, "<=", 1.5)
+    lp.add_row({0: 1.0}, "=", 0.5)
+    lp.add_row({0: 1.0}, "<=", 0.75)
+    with pytest.raises(LPError, match=r"post-hoc feasibility failed on row 1: residual 0.5$"):
+        solve(lp, ({1: 0}, ()))
+
+
+@pytest.mark.parametrize("rel", [">=", "<", "=="])
+def test_add_row_refuses_other_relations(rel):
+    lp = LinearProgram(2)
+    with pytest.raises(LPError, match=f"relation '{rel}' is neither '=' nor '<='"):
+        lp.add_row({0: 1.0}, rel, 1.0)
+    assert lp.n_rows == 0
+    assert lp.matrix().shape == (0, 2)
+
+
+def _aux_lps(monkeypatch, run) -> tuple[str, str, int]:
+    """For every auxiliary LP ``run`` solves: the sha1 of the values and
+    objectives, the sha1 of the values and certificates, and the number of
+    LPs that hold two identical rows."""
+    vertices, certificates = hashlib.sha1(), hashlib.sha1()
+    repeating = 0
 
     def recording_solve(lp):
+        nonlocal repeating
         res = solve(lp)
-        digest.update(res.values.tobytes() + repr(res.basis_certificate).encode())
+        vertices.update(res.values.tobytes() + float(res.objective_value).hex().encode())
+        certificates.update(res.values.tobytes() + repr(res.basis_certificate).encode())
+        rows = zip(lp.row_rel, lp.row_rhs, map(bytes, lp.matrix()))
+        repeating += len(set(rows)) < lp.n_rows
         return res
 
     monkeypatch.setattr(iterround, "solve", recording_solve)
     run()
-    return digest.hexdigest()
+    return vertices.hexdigest(), certificates.hexdigest(), repeating
 
 
 def _knapsack_rounding_every_task():
@@ -583,19 +617,24 @@ def _knapsack_rounding_every_task():
         )
 
 
-# the auxiliary LPs of these solves drop redundant rows after phase 1, drive
-# artificials out and flip bounds; digests recorded before the simplex kept
-# one signed bound-side array, so a change of its bookkeeping cannot move a vertex
+# the auxiliary LPs of these solves drive artificials out and flip bounds;
+# the vertex digests were recorded before the rounding loop stated each ball
+# once, and the certificate digests before the simplex kept one signed
+# bound-side array, re-pinned where the ball rows were renumbered
 @pytest.mark.parametrize(
-    "run, digest",
+    "run, vertices, certificates",
     [
         (lambda: iterround.solve_kmeddis(generate(8, 20, kind="cardinality", seed=1), tau=1.91),
-         "1c62a7e09ca04b70a9eaf896c3a6ff9bc9d15623"),
+         "c245a307ad9e2882cd58fd370adb23c8762492e2", "70d261166943d07944b71786c294a5cabd0c7ae7"),
         (lambda: iterround.solve_matmeddis(generate(8, 20, kind="partition", seed=1), tau=2.36),
-         "6d515f519885665fc62c4c00927220b2feb41bf0"),
-        (_knapsack_rounding_every_task, "486a990ae56d18cfc5b854c19d1fd4f97612bf91"),
+         "ea2cbc9768e1a5199cd1ffd67505436c34973036", "cc1a7061c8a3f7eef0bbc5259bb996229a716240"),
+        (_knapsack_rounding_every_task,
+         "910fb873358b998c04ac85587ffb612e2da71fe0", "486a990ae56d18cfc5b854c19d1fd4f97612bf91"),
     ],
     ids=["cardinality", "partition", "knapsack"],
 )
-def test_auxiliary_lp_vertices_are_pinned(monkeypatch, run, digest):
-    assert _aux_lp_digest(monkeypatch, run) == digest
+def test_auxiliary_lp_vertices_are_pinned(monkeypatch, run, vertices, certificates):
+    got_vertices, got_certificates, repeating = _aux_lps(monkeypatch, run)
+    assert got_vertices == vertices
+    assert repeating == 0  # no auxiliary LP holds two identical rows
+    assert got_certificates == certificates
