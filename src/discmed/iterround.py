@@ -415,9 +415,8 @@ def _pipeline(inst: Instance, tau: float, h: int) -> SolveReport:
         spec = inst.constraint.spec
         if not spec.is_independent(solution):
             raise RoundingError(f"pipeline output: {solution} is not independent in the matroid")
-        certs.append(
-            Certificate("independent_output", float(len(solution) - spec.rank(solution)), 0.0, True)
-        )
+        rank_gap = len(solution) - spec.rank(solution)
+        certs.append(Certificate.leq("independent_output", rank_gap, 0.0))
     elif isinstance(inst.constraint, Cardinality):
         if len(solution) > inst.constraint.k:
             raise RoundingError(

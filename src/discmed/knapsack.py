@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -627,8 +628,14 @@ def solve_knapmeddis(
         raise InstanceError(f"epsilon must be finite and positive, got {epsilon}")
     if jobs < 1:
         raise InstanceError(f"jobs must be at least 1, got {jobs}")
+    if caps is not None and not (isinstance(caps, (tuple, list)) and len(caps) == 2):
+        raise InstanceError(f"caps must be a pair (cap1, cap2), got {caps!r}")
     for k, cap in enumerate(caps or (), start=1):
-        if cap is not None and cap < 0:
+        if cap is None:
+            continue
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+            raise InstanceError(f"caps must be ints or None: cap{k} = {cap!r}")
+        if cap < 0:
             raise InstanceError(f"caps must be nonnegative: cap{k} = {cap}")
     original = inst
     inst = checked(inst)

@@ -6,6 +6,11 @@ tight constraints and re-solving the same program reproduces the same vertex.
 Rows are sparse, each an equality or a "<=" inequality. Equality rows enter
 the tableau directly; they are never split into two inequalities (that would
 break the basis counting downstream rounding relies on).
+
+One tableau serves both phases and the certificate. An artificial that phase
+1 cannot pivot out marks a redundant row; it stays basic at zero, every
+artificial is fixed at zero for phase 2, and a row is tight exactly when none
+of its slack or artificial columns is basic.
 """
 
 from __future__ import annotations
@@ -278,7 +283,7 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
         )
 
     # phase 1: drive artificials to zero
-    redundant: set[int] = set()
+    owner = ineq + need_art  # the row of each slack and artificial column
     phase1 = 0
     if n_art:
         cost1 = np.zeros(N)
@@ -287,45 +292,27 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
         art_basic = basis >= n + n_slack
         residual = float(xB[art_basic].sum())
         if residual > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
-            i = int(np.nonzero(art_basic & (xB > 0.0))[0][0])
+            i = int(np.where(art_basic, xB, -np.inf).argmax())
+            r = owner[basis[i] - n]
             raise InfeasibleLP(
-                f"phase-1 optimum is positive ({residual:.3g}): the artificial of row {i} "
-                f"({rels[i]}) stays basic at {float(xB[i]):.3g} on a {m}x{N} tableau"
+                f"phase-1 optimum is positive ({residual:.3g}): the artificial of row {r} "
+                f"({rels[r]}) stays basic at {float(xB[i]):.3g} on a {m}x{N} tableau"
             )
-        drop = []
-        for i in range(m):
-            if basis[i] < n + n_slack:
+        # pivot each basic artificial out at the first nonbasic real column of its row;
+        # a row with none is redundant, and its artificial stays basic at zero
+        for i in np.nonzero(art_basic)[0].tolist():
+            real = T[i, : n + n_slack]
+            cols = np.nonzero((side[: n + n_slack] != 0.0) & (np.abs(real) > PIVOT_TOL))[0]
+            if not len(cols):
+                real[:] = 0.0  # so no later pivot touches the row
                 continue
-            pivcol = -1
-            for j in range(n + n_slack):
-                if side[j] != 0.0 and abs(T[i, j]) > PIVOT_TOL:
-                    pivcol = j
-                    break
-            if pivcol < 0:
-                drop.append(i)  # row redundant over real variables
-                continue
-            old = int(basis[i])
+            pivcol = int(cols[0])
+            side[basis[i]] = 1.0
             _pivot(T, i, pivcol)
             basis[i] = pivcol
             xB[i] = lob[pivcol] if side[pivcol] > 0 else upb[pivcol]
             side[pivcol] = 0.0
-            side[old] = 1.0
-        if drop:
-            # Leave out the row of each artificial basic in a dropped row l. Its column is e_l, so
-            # dropped row i's dependency e_i'B^-1 is +-delta_il on that row: a diagonal block, and
-            # the certificate stays independent. The row is an "=": an inequality's artificial is
-            # parallel to its slack, pivoted in by drive-out if nonbasic and e_k, k != i, if basic.
-            redundant = {need_art[basis[i] - n - n_slack] for i in drop}
-            keep = np.array([i for i in range(m) if i not in set(drop)], dtype=np.int64)
-            T = T[keep, :]
-            xB = xB[keep]
-            basis = basis[keep]
-            m = len(keep)
-    T = T[:, : n + n_slack]
-    side = side[: n + n_slack]
-    lob = lob[: n + n_slack]
-    upb = upb[: n + n_slack]
-    N = n + n_slack
+        upb[n + n_slack :] = 0.0  # fixed: phase 2 never prices an artificial
 
     # phase 2
     cost2 = np.zeros(N)
@@ -337,9 +324,9 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
     values = x[:n].copy()
 
     # post-hoc feasibility audit against the original data
-    if m_full := len(rels):
+    if m:
         lhs = A @ values
-        for i in range(m_full):
+        for i in range(m):
             scale = max(1.0, abs(b[i]))
             err = lhs[i] - b[i]
             if not (abs(err) if rels[i] == "=" else err) <= FEAS_TOL * scale:
@@ -352,17 +339,13 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
             f"outside [{float(lo[j])}, {float(hi[j])}]"
         )
 
-    # tight rows: equality rows bar one per dependency, and rows with a nonbasic slack
-    cert: list[tuple[str, int]] = [
-        ("row", i)
-        for i in range(len(rels))
-        if i not in redundant and (i not in slack_of_row or side[slack_of_row[i]] != 0.0)
-    ]
+    # tight rows: those owning no basic slack or artificial
+    owned = {owner[j - n] for j in basis.tolist() if j >= n}
+    cert: list[tuple[str, int]] = [("row", i) for i in range(m) if i not in owned]
     cert += [("lo" if s > 0 else "hi", j) for j, s in enumerate(side[:n].tolist()) if s]
     if len(cert) != n:
         raise LPError(
-            f"basis certificate has {len(cert)} conditions for {n} variables on a {m}x{N} "
-            f"tableau ({len(rels) - m} of {len(rels)} rows dropped)"
+            f"basis certificate has {len(cert)} conditions for {n} variables on a {m}x{N} tableau"
         )
 
     return BasicOptimal(

@@ -11,6 +11,14 @@ import itertools
 
 import numpy as np
 
+from discmed.instance import (
+    Cardinality,
+    Instance,
+    Matroid,
+    MetricSpace,
+    PartitionMatroid,
+    UniformMatroid,
+)
 from discmed.lpcore import LinearProgram
 
 
@@ -99,6 +107,47 @@ def random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
         else:
             add_dense_row(lp, a, rel, base)
     return lp
+
+
+def gap_instance(n: int, family: str, seed=None, jitter: float = 0.0) -> Instance:
+    """Integrality-gap instance on the complete graph K_n (Jain, Mahdian and
+    Saberi, STOC 2002): one facility per vertex and one client per edge.
+
+    Facilities sit 2 apart; a client is 1 from its edge's endpoints and 3 from
+    every other facility; two clients are 2 apart when their edges share an
+    endpoint and 4 apart otherwise. ``family`` picks the constraint: at most
+    n // 2 facilities ("cardinality"), a uniform matroid of that rank
+    ("uniform"), or two halves each capped at max(1, half // 2) ("partition").
+    Discounts are drawn from [0, jitter) and weights from [1, 1 + jitter).
+    """
+    facs = tuple(f"f{a}" for a in range(n))
+    edges = list(itertools.combinations(range(n), 2))
+    clis = tuple(f"c{a}_{b}" for a, b in edges)
+    dist = np.zeros((n + len(edges), n + len(edges)))
+    dist[:n, :n] = 2.0
+    for k, e in enumerate(edges):
+        dist[:n, n + k] = dist[n + k, :n] = [1.0 if a in e else 3.0 for a in range(n)]
+        dist[n + k, n:] = [2.0 if set(e) & set(other) else 4.0 for other in edges]
+    np.fill_diagonal(dist, 0.0)
+    rng = np.random.default_rng(seed)
+    discounts = {j: jitter * float(rng.random()) for j in clis}
+    weights = {j: 1.0 + jitter * float(rng.random()) for j in clis}
+    if family == "cardinality":
+        constraint = Cardinality(n // 2)
+    elif family == "uniform":
+        constraint = Matroid(UniformMatroid(n // 2))
+    elif family == "partition":
+        halves = (facs[: n // 2], facs[n // 2 :])
+        constraint = Matroid(PartitionMatroid(halves, tuple(max(1, len(h) // 2) for h in halves)))
+    else:
+        raise ValueError(f"unknown gap family {family!r}")
+    return Instance(facs, clis, MetricSpace(facs + clis, dist), discounts, weights, constraint)
+
+
+def left_out_equalities(lp: LinearProgram, cert) -> list[int]:
+    """The equality rows of ``lp`` that the basis certificate ``cert`` does not list."""
+    tight = {i for kind, i in cert if kind == "row"}
+    return [i for i, rel in enumerate(lp.row_rel) if rel == "=" and i not in tight]
 
 
 def certificate_matrix(lp: LinearProgram, cert) -> np.ndarray:

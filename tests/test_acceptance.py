@@ -11,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 
+from discmed import iterround
 from discmed.discretize import discretization_ratio
+from discmed.fractional import solve_natural
 from discmed.instance import Instance, discounted_cost, generate
 from discmed.iterround import bicriteria_factors, solve_kmeddis, solve_matmeddis
 from discmed.knapsack import (
@@ -32,6 +34,8 @@ from discmed.stochastic import (
 from .helpers import (
     assert_sparse_conditions,
     certificate_matrix,
+    gap_instance,
+    left_out_equalities,
     nearest_dist,
     paper_two_phase,
     random_feasible_lp,
@@ -84,11 +88,50 @@ def explicit_runs():
     return runs
 
 
-def test_criterion_1_kmeddis_guarantee(kmed_runs):
+GAP_FAMILIES = (("cardinality", (1.91, 1.592)), ("uniform", (2.36,)), ("partition", (2.36,)))
+
+
+@pytest.fixture(scope="module")
+def gap_runs():
+    """Solves of the gap family for n = 4..8, unjittered and at two jittered
+    seeds each: (inst, report, brute-force optimum) lists keyed by (family,
+    tau), plus what the solves saw: per natural LP whether its y is
+    fractional, and per auxiliary LP whether its certificate left an
+    equality row out."""
+    seen = {"fractional_y": [], "aux_left_out": []}
+
+    def natural(inst, *args):
+        frac = solve_natural(inst, *args)
+        seen["fractional_y"].append(bool(((frac.y > 1e-7) & (frac.y < 1.0 - 1e-7)).any()))
+        return frac
+
+    def aux(lp, start=None):
+        res = lp_solve(lp, start)
+        seen["aux_left_out"].append(bool(left_out_equalities(lp, res.basis_certificate)))
+        return res
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iterround, "solve_natural", natural)
+        mp.setattr(iterround, "solve", aux)
+        for family, taus in GAP_FAMILIES:
+            pipeline = solve_kmeddis if family == "cardinality" else solve_matmeddis
+            for n in range(4, 9):
+                for seed, jitter in ((None, 0.0), (n, 0.5), (100 + n, 0.5)):
+                    inst = gap_instance(n, family, seed, jitter)
+                    opt = brute_opt(inst)
+                    for tau in taus:
+                        runs.setdefault((family, tau), []).append(
+                            (inst, pipeline(inst, tau=tau), opt)
+                        )
+    return runs, seen
+
+
+def test_criterion_1_kmeddis_guarantee(kmed_runs, gap_runs):
     worst = {}
     for tau, (alpha_cap, beta_cap) in ((1.91, (7.173, 5.281)), (1.592, (6.851, 5.479))):
         slack = -math.inf
-        for inst, rep, opt in kmed_runs[tau]:
+        for inst, rep, opt in kmed_runs[tau] + gap_runs[0]["cardinality", tau]:
             assert len(rep.solution) <= inst.constraint.k
             lhs = discounted_cost(inst, rep.solution, alpha_cap)
             rhs = beta_cap * opt.value
@@ -98,7 +141,8 @@ def test_criterion_1_kmeddis_guarantee(kmed_runs):
     announce(
         "criterion-1 kMedDis guarantee",
         True,
-        f"{N_SEEDS} seeds per tau; worst lhs-rhs margin "
+        f"{N_SEEDS} seeds and {len(gap_runs[0]['cardinality', 1.91])} gap instances per tau; "
+        "worst lhs-rhs margin "
         f"{worst[1.91]:.3g} (tau=1.91), {worst[1.592]:.3g} (tau=1.592)",
     )
 
@@ -160,8 +204,9 @@ def test_criterion_3_rounding_invariants(kmed_runs, partition_runs):
     )
 
 
-def test_criterion_4_matmeddis_guarantee(partition_runs, explicit_runs):
-    for runs, label in ((partition_runs, "partition"), (explicit_runs, "explicit")):
+def test_criterion_4_matmeddis_guarantee(partition_runs, explicit_runs, gap_runs):
+    gap = gap_runs[0]["uniform", 2.36] + gap_runs[0]["partition", 2.36]
+    for runs, label in ((partition_runs, "partition"), (explicit_runs, "explicit"), (gap, "gap")):
         for inst, rep, opt in runs:
             spec = inst.constraint.spec
             assert spec.is_independent(rep.solution), label
@@ -170,9 +215,20 @@ def test_criterion_4_matmeddis_guarantee(partition_runs, explicit_runs):
     announce(
         "criterion-4 MatMedDis guarantee",
         True,
-        f"(10.551, 7.081) certified on {len(partition_runs)} partition and "
-        f"{len(explicit_runs)} explicit matroid instances; all outputs independent",
+        f"(10.551, 7.081) certified on {len(partition_runs)} partition, "
+        f"{len(explicit_runs)} explicit matroid and {len(gap)} gap instances; "
+        "all outputs independent",
     )
+
+
+def test_gap_family_is_not_trivial(gap_runs):
+    # the gap family is there to reach what random planar instances rarely
+    # do: a fractional natural LP, a shrink step and a left-out equality
+    runs, seen = gap_runs
+    assert seen["fractional_y"] and all(seen["fractional_y"])
+    actions = {t["action"] for rows in runs.values() for _, rep, _ in rows for t in rep.iterations}
+    assert "shrink" in actions
+    assert any(seen["aux_left_out"])
 
 
 def test_criterion_5_knapmeddis_pipeline():

@@ -256,6 +256,21 @@ class TestSolveMatMedDis:
             cert = check_bicriteria(inst, rep.solution, rep.alpha, rep.beta)
             assert cert["holds"], (seed, cert)
 
+    def test_independent_output_reads_the_rank(self, monkeypatch):
+        inst = generate(5, 6, kind="uniform", seed=0)
+        cert = lambda rep: next(c for c in rep.certificates if c.name == "independent_output")
+        rep = solve_matmeddis(inst, tau=2.36)
+        assert len(rep.solution) > 1
+        assert cert(rep) == iterround.Certificate("independent_output", 0.0, 0.0, True)
+        # a rank one short on the output set, and on no other set, fails the certificate
+        rank, solution = I.UniformMatroid.rank, set(rep.solution)
+        short = lambda spec, subset: rank(spec, subset) - (set(subset) == solution)
+        monkeypatch.setattr(I.UniformMatroid, "rank", short)
+        rep = solve_matmeddis(inst, tau=2.36)
+        assert set(rep.solution) == solution
+        assert cert(rep) == iterround.Certificate("independent_output", 1.0, 0.0, False)
+        assert not rep.all_hold
+
 
 def test_bicriteria_factor_formulas():
     a2, b2 = bicriteria_factors(1.91, 2)

@@ -745,6 +745,23 @@ class TestSolveKnapMedDis:
         assert rep.lp_optimum == 0.0
         assert [c["est"] for c in rep.extras["candidates"]] == ests
 
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            ((1,), r"caps must be a pair \(cap1, cap2\), got \(1,\)"),
+            ((1, 2, 3), r"caps must be a pair \(cap1, cap2\), got \(1, 2, 3\)"),
+            (1, r"caps must be a pair \(cap1, cap2\), got 1"),
+            ((None, 0.5), r"caps must be ints or None: cap2 = 0\.5"),
+            ((1.5, None), r"caps must be ints or None: cap1 = 1\.5"),
+            ((True, None), r"caps must be ints or None: cap1 = True"),
+        ],
+        ids=["one", "three", "not-a-pair", "float-cap2", "float-cap1", "bool"],
+    )
+    def test_malformed_caps_are_refused(self, caps, message):
+        inst = knap_instance(seed=12, nf=3, nc=3)
+        with pytest.raises(I.InstanceError, match=message):
+            solve_knapmeddis(inst, tau=1.9, rho=0.5, epsilon=0.5, caps=caps)
+
     def test_caps_below_theoretical_flagged(self):
         inst = knap_instance(seed=12, nf=3, nc=3)
         rep = solve_knapmeddis(inst, tau=1.9, rho=0.5, epsilon=0.5, caps=(1, 1))

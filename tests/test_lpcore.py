@@ -10,7 +10,13 @@ from discmed.fractional import build_natural_lp, solve_natural
 from discmed.knapsack import ExtendedInstance
 from discmed.lpcore import InfeasibleLP, LinearProgram, LPError, solve
 
-from .helpers import add_dense_row, certificate_matrix, random_feasible_lp, vertex_enum_optimum
+from .helpers import (
+    add_dense_row,
+    certificate_matrix,
+    left_out_equalities,
+    random_feasible_lp,
+    vertex_enum_optimum,
+)
 
 try:
     from scipy.optimize import linprog  # test-only yardstick; never a runtime dependency
@@ -48,6 +54,27 @@ def test_infeasible_detected():
     message = (
         r"phase-1 optimum is positive \(1\): the artificial of row 0 \(<=\) stays basic at 1 "
         r"on a 2x4 tableau"
+    )
+    with pytest.raises(InfeasibleLP, match=message):
+        solve(lp)
+
+
+def test_infeasible_names_the_row_owning_the_largest_artificial():
+    # A strengthened natural LP of the knapsack_enum corpus. Phase 1 ends with
+    # row 1's artificial basic in tableau row 1 at 1.1e-16 and row 0's in
+    # tableau row 5 at 0.662: the message names the row owning the larger one.
+    lp = LinearProgram(5)
+    lp.add_row({2: 1.0, 3: 1.0}, "=", 1.0)
+    lp.add_row({4: 1.0}, "=", 1.0)
+    lp.add_row({0: 3.155, 1: 3.093}, "<=", 3.389)
+    lp.add_row({0: -1.0, 2: 1.0}, "<=", 0.0)
+    lp.add_row({1: -1.0, 3: 1.0}, "<=", 0.0)
+    lp.add_row({1: -1.0, 4: 1.0}, "<=", 0.0)
+    lp.add_row({0: -4.863842527091406, 2: 3.5340422931115425}, "<=", 0.0)
+    lp.add_row({1: -4.863842527091406, 3: 3.9844597981932797, 4: 3.8889903820656317}, "<=", 0.0)
+    message = (
+        r"phase-1 optimum is positive \(0\.662\): the artificial of row 0 \(=\) stays basic "
+        r"at 0\.662 on a 8x13 tableau$"
     )
     with pytest.raises(InfeasibleLP, match=message):
         solve(lp)
@@ -121,7 +148,7 @@ def test_redundant_equalities_are_tolerated():
 
 
 def test_certificate_count_error_names_tableau_and_dropped_rows(monkeypatch):
-    # artificials that name no original row leave the dropped row's equality
+    # artificials that name no original row leave the redundant row's equality
     # in the certificate: one condition too many
     tableau = lpcore._tableau
 
@@ -133,10 +160,7 @@ def test_certificate_count_error_names_tableau_and_dropped_rows(monkeypatch):
     lp = LinearProgram(2, objective=[1.0, 0.0], lo=[0.0, 0.0], hi=[2.0, 2.0])
     lp.add_row({0: 1.0, 1: 1.0}, "=", 2.0)
     lp.add_row({0: 2.0, 1: 2.0}, "=", 4.0)
-    message = (
-        r"basis certificate has 3 conditions for 2 variables on a 1x2 tableau "
-        r"\(1 of 2 rows dropped\)"
-    )
+    message = r"basis certificate has 3 conditions for 2 variables on a 2x4 tableau$"
     with pytest.raises(LPError, match=message):
         solve(lp)
 
@@ -151,8 +175,8 @@ def test_fixed_variable_bounds():
 
 def test_certificate_after_dropping_a_redundant_row():
     # Identical "= 1" rows plus a "<= 1" row over the same pair (x6, x7), as
-    # auxiliary LPs held while each client stated its own ball. Phase 1
-    # drops a tableau row whose artificial cannot leave; the certificate must
+    # auxiliary LPs held while each client stated its own ball. Phase 1 ends
+    # with an artificial that cannot leave the basis; the certificate must
     # still list n linearly independent tight conditions.
     rows = [
         ((1, 4), "=", 1), ((0, 1), "=", 1), ((2, 11), "=", 1), ((6, 7), "=", 1),
@@ -314,40 +338,26 @@ def same_result(a, b) -> bool:
     )
 
 
-class NotedRows(list):
-    """A list that notes each item read by index."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.read = []
-
-    def __getitem__(self, k):
-        self.read.append(super().__getitem__(k))
-        return self.read[-1]
-
-
 def solve_noting_left_out(lp: LinearProgram):
-    """``solve(lp)`` and the rows it left out of the certificate: the rows of
-    the artificials still basic in dropped tableau rows."""
-    tableau, noted = lpcore._tableau, []
+    """``solve(lp)`` and the rows it left out of the certificate: the
+    equality rows absent from it."""
+    res = solve(lp)
+    return res, left_out_equalities(lp, res.basis_certificate)
 
-    def noting(*args):
-        *setup, art = tableau(*args)
-        noted.append(NotedRows(art))
-        return (*setup, noted[-1])
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lpcore, "_tableau", noting)
-        res = solve(lp)
-    return res, noted[0].read
+def assert_left_out_implied(lp: LinearProgram, left_out) -> None:
+    """The equality rows left out of the certificate are implied by those in it."""
+    eq = [i for i, rel in enumerate(lp.row_rel) if rel == "="]
+    assert np.linalg.matrix_rank(lp.matrix()[eq]) == len(eq) - len(left_out)
 
 
 def test_certificate_leaves_out_the_row_of_an_artificial_off_its_own_row():
     # An auxiliary LP of the seed-1 lp_heavy corpus, with the repeated ball
-    # rows each client stated while it had its own row. Phase 1 drops a tableau
-    # row whose basic artificial belongs to another original row; that row,
-    # an equality, is the one left out of the certificate. Values, objective
-    # and pivots were recorded before the rule changed; only the certificate moved.
+    # rows each client stated while it had its own row. Phase 1 ends with
+    # artificials basic in redundant tableau rows that are not their own; the
+    # equalities they belong to are the ones left out of the certificate. Values,
+    # objective and pivots were recorded before the rule changed; only the
+    # certificate moved.
     objective = [
         -39.06524371379125, 0.0, -30.0840525413536, 0.0, 9.822435668538002, 9.822435668538002,
         0.0, -17.153602309195946, 0.0, 27.7208985512135, 0.0,
@@ -373,7 +383,7 @@ def test_certificate_leaves_out_the_row_of_an_artificial_off_its_own_row():
         ("lo", 3), ("lo", 5), ("lo", 6), ("lo", 8), ("lo", 10),
     ]
     assert sorted(left_out) == [4, 5, 6, 7, 8, 10, 20, 21, 22]
-    assert {lp.row_rel[i] for i in left_out} == {"="}
+    assert_left_out_implied(lp, left_out)
     assert_certified(lp, res)
 
 
@@ -411,7 +421,7 @@ def test_dependent_equality_rows_give_certified_vertices(n, m, seed):
     lp = laminar_lp(np.random.default_rng(seed), n, m)
     res, left_out = solve_noting_left_out(lp)
     assert_certified(lp, res)
-    assert all(lp.row_rel[i] == "=" for i in left_out)
+    assert_left_out_implied(lp, left_out)
     if linprog is not None:
         ref = highs(lp)
         assert ref.status == 0, ref.message
