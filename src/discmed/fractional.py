@@ -308,6 +308,29 @@ def _normalized_columns(x: np.ndarray, cols: list[int]) -> np.ndarray:
     return out
 
 
+def _ball_system(
+    inst: Instance, copies: list[tuple[int, float, set[int]]], cols: list[int]
+) -> BallSystem:
+    """Ball system of ``copies`` in order: each is (facility position, mass,
+    client positions whose outer ball holds the copy). Every outer ball of
+    ``cols`` must carry unit mass."""
+    F: list[set[int]] = [set() for _ in inst.clients]
+    for c, (_, _, clients) in enumerate(copies):
+        for cj in clients:
+            F[cj].add(c)
+    rows = [fi for fi, _, _ in copies]
+    bs = BallSystem(
+        orig=[inst.facilities[fi] for fi in rows],
+        y=np.array([mass for _, mass, _ in copies]),
+        dist=inst.dist_fc[rows, :],
+        F=F,
+    )
+    for cj in cols:
+        if abs(bs.ball_mass(cj) - 1.0) > 1e-9:
+            raise InstanceError(f"outer ball of {inst.clients[cj]} has mass {bs.ball_mass(cj)}")
+    return bs
+
+
 def duplicate_facilities(sol: FractionalSolution, inst: Instance) -> BallSystem:
     """Split facilities so every positive assignment uses a copy fully.
 
@@ -317,12 +340,8 @@ def duplicate_facilities(sol: FractionalSolution, inst: Instance) -> BallSystem:
     nf, nc = sol.x.shape
     cols = [cj for cj in range(nc) if sol.x[:, cj].sum() > SUPPORT_TOL]
     x = _normalized_columns(sol.x, cols)
-    orig: list[str] = []
-    y: list[float] = []
-    rows: list[int] = []
-    F: list[set[int]] = [set() for _ in range(nc)]
+    copies: list[tuple[int, float, set[int]]] = []
     for fi in range(nf):
-        fid = inst.facilities[fi]
         yi = float(sol.y[fi])
         levels = sorted({float(v) for v in x[fi, :] if v > SUPPORT_TOL})
         cuts: list[float] = []
@@ -331,25 +350,17 @@ def duplicate_facilities(sol: FractionalSolution, inst: Instance) -> BallSystem:
                 cuts.append(v)
         if not cuts or yi - cuts[-1] > 1e-12:
             cuts.append(max(yi, cuts[-1] if cuts else 0.0))
-        base = len(orig)
+        # each served client's nearest cut: it uses every copy up to that one
+        top = {
+            cj: min(range(len(cuts)), key=lambda k: abs(cuts[k] - x[fi, cj]))
+            for cj in range(nc)
+            if x[fi, cj] > SUPPORT_TOL
+        }
         prev = 0.0
-        for v in cuts:
-            orig.append(fid)
-            y.append(v - prev)
-            rows.append(fi)
+        for k, v in enumerate(cuts):
+            copies.append((fi, v - prev, {cj for cj, t in top.items() if t >= k}))
             prev = v
-        for cj in range(nc):
-            v = x[fi, cj]
-            if v <= SUPPORT_TOL:
-                continue
-            t = min(range(len(cuts)), key=lambda k: abs(cuts[k] - v))
-            F[cj].update(base + k for k in range(t + 1))
-    dist = inst.dist_fc[rows, :]
-    bs = BallSystem(orig=orig, y=np.array(y), dist=dist, F=F)
-    for cj in cols:
-        if abs(bs.ball_mass(cj) - 1.0) > 1e-9:
-            raise InstanceError(f"outer ball of {inst.clients[cj]} has mass {bs.ball_mass(cj)}")
-    return bs
+    return _ball_system(inst, copies, cols)
 
 
 def duplicate_star_balanced(sol: FractionalSolution, inst: Instance, extended) -> BallSystem:
@@ -360,82 +371,47 @@ def duplicate_star_balanced(sol: FractionalSolution, inst: Instance, extended) -
     facility ends with star cost at most twice the per-facility cap; the
     split reads no EST, and the caller checks that cap against ``bs.star``.
     """
-    nf, nc = sol.x.shape
     cprime_cols = extended.cols
     x = _normalized_columns(sol.x, [cj for cj in cprime_cols if sol.x[:, cj].sum() > SUPPORT_TOL])
     contrib = inst.contrib
-
-    orig: list[str] = []
-    y: list[float] = []
-    rows: list[int] = []
-    star: list[float] = []
-    alive: list[bool] = []
-    copies: dict[int, list[int]] = {}
-    F: list[set[int]] = [set() for _ in range(nc)]
-
-    for fi in range(nf):
-        copies[fi] = [len(orig)]
-        orig.append(inst.facilities[fi])
-        y.append(float(sol.y[fi]))
-        rows.append(fi)
-        alive.append(True)
+    whole, parted = [], []  # copies of facilities never split, and of the others
+    for fi in range(sol.x.shape[0]):
         members = [cj for cj in cprime_cols if x[fi, cj] > SUPPORT_TOL]
-        star.append(float(sum(contrib[fi, cj] for cj in members)))
+        # this facility's copies in creation order, [mass, star, clients],
+        # None once split in two; a split copy's parts inherit its clients
+        mine = [[float(sol.y[fi]), float(sum(contrib[fi, cj] for cj in members)), set()]]
         for cj in members:
-            F[cj].add(copies[fi][0])
-
-    def split(c: int, take: float) -> int:
-        """Split copy c into (selected part of mass take, remainder)."""
-        c1, c2 = len(orig), len(orig) + 1
-        orig.extend([orig[c], orig[c]])
-        rows.extend([rows[c], rows[c]])
-        y.extend([take, y[c] - take])
-        star.extend([star[c], star[c]])
-        alive.extend([True, True])
-        alive[c] = False
-        fi = rows[c]
-        copies[fi] = [k for k in copies[fi] if k != c] + [c1, c2]
-        for ball in F:
-            if c in ball:
-                ball.discard(c)
-                ball.update((c1, c2))
-        return c1
-
-    for fi in range(nf):
-        for cj in cprime_cols:
             need = float(x[fi, cj])
-            if need <= SUPPORT_TOL:
-                continue
-            group = sorted(copies[fi], key=lambda c: (star[c], c))
+            live = [c for c, entry in enumerate(mine) if entry is not None]
             selected: list[int] = []
             acc = 0.0
-            for c in group:
+            for c in sorted(live, key=lambda c: (mine[c][1], c)):
                 if acc >= need - 1e-12:
                     break
                 room = need - acc
-                if y[c] <= room + 1e-12:
-                    selected.append(c)
-                    acc += y[c]
-                else:
-                    selected.append(split(c, room))
+                mass, star, clients = mine[c]
+                if mass <= room + 1e-12:
+                    acc += mass
+                else:  # split: the first part, of mass room, is selected
+                    mine[c] = None
+                    c = len(mine)
+                    mine += [[room, star, set(clients)], [mass - room, star, set(clients)]]
                     acc = need
+                selected.append(c)
             if abs(acc - need) > 1e-7:
                 raise InstanceError("star-balanced split could not match assignment mass")
-            F[cj].difference_update(copies[fi])
-            F[cj].update(selected)
             gone = contrib[fi, cj]
-            for c in copies[fi]:
-                if c not in selected:
-                    star[c] -= gone
-    # compact away dead (fully split) copies
-    keep = [c for c in range(len(orig)) if alive[c]]
-    remap = {c: k for k, c in enumerate(keep)}
-    bs = BallSystem(
-        orig=[orig[c] for c in keep],
-        y=np.array([y[c] for c in keep]),
-        dist=inst.dist_fc[[rows[c] for c in keep], :],
-        F=[{remap[c] for c in ball} for ball in F],
-    )
+            for c, entry in enumerate(mine):
+                if entry is None:
+                    continue
+                if c in selected:
+                    entry[2].add(cj)
+                else:
+                    entry[2].discard(cj)
+                    entry[1] -= gone
+        out = whole if len(mine) == 1 else parted
+        out += [(fi, mass, clients) for mass, _, clients in filter(None, mine)]
+    bs = _ball_system(inst, whole + parted, cprime_cols)
     bs.star = _audit_star_balance(bs, inst, extended, sol.objective_value)
     return bs
 
@@ -463,16 +439,12 @@ def star_costs(bs: BallSystem, inst: Instance, contrib: np.ndarray | None = None
 def _audit_star_balance(
     bs: BallSystem, inst: Instance, extended, lp_objective: float
 ) -> np.ndarray:
-    """Check the split's C' ball masses, budget, F0 copy masses and objective;
-    returns the per-copy star costs."""
-    for cj in extended.cols:
-        if abs(bs.ball_mass(cj) - 1.0) > 1e-9:
-            raise InstanceError(f"outer ball of {inst.clients[cj]} has mass {bs.ball_mass(cj)}")
+    """Check the split's budget, F0 copy masses and objective; returns the
+    per-copy star costs."""
     con = inst.constraint
-    if isinstance(con, Knapsack):
-        total = float(np.sum(np.array([con.weights[f] for f in bs.orig]) * bs.y))
-        if total > con.budget + 1e-7:
-            raise InstanceError("duplication broke the knapsack budget")
+    total = float(np.sum(np.array([con.weights[f] for f in bs.orig]) * bs.y))
+    if total > con.budget + 1e-7:
+        raise InstanceError("duplication broke the knapsack budget")
     for f in extended.f0:
         mass = float(sum(bs.y[c] for c in bs.copies_of(f)))
         if abs(mass - 1.0) > 1e-7:

@@ -446,6 +446,8 @@ def solve_kmeddis(inst: Instance, tau: float = 1.91, h: int = 2) -> SolveReport:
         raise InstanceError("solve_kmeddis needs a cardinality constraint")
     if not 1.0 < tau < math.inf:
         raise InstanceError("tau must be finite and exceed 1")
+    if isinstance(h, bool) or not isinstance(h, int) or h not in (1, 2):
+        raise InstanceError(f"step size h must be the int 1 or 2, got {h!r}")
     return _pipeline(inst, tau, h)
 
 

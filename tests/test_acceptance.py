@@ -147,17 +147,16 @@ def test_criterion_1_kmeddis_guarantee(kmed_runs, gap_runs):
     )
 
 
-def test_criterion_2_discretization_bound(kmed_runs):
-    # chosen-offset auxiliary objective against the relaxation optimum
-    for tau in (1.91, 1.592):
-        ratio = discretization_ratio(tau)
-        for inst, rep, _ in kmed_runs[tau]:
-            lp_scaled = rep.lp_optimum / rep.extras["scale"] * inst.scale
-            assert rep.initial_aux <= ratio * lp_scaled + 1e-6
-            cert = next(
-                c for c in rep.certificates if c.name == "initial_aux_le_discretized_lp"
-            )
-            assert cert.holds
+def test_criterion_2_discretization_bound(kmed_runs, gap_runs):
+    # chosen-offset auxiliary objective against the relaxation optimum, on
+    # the random k-median runs and every gap-family run
+    runs = [(tau, run) for tau in (1.91, 1.592) for run in kmed_runs[tau]]
+    runs += [(tau, run) for (_, tau), rows in gap_runs[0].items() for run in rows]
+    for tau, (inst, rep, _) in runs:
+        lp_scaled = rep.lp_optimum / rep.extras["scale"] * inst.scale
+        assert rep.initial_aux <= discretization_ratio(tau) * lp_scaled + 1e-6
+        cert = next(c for c in rep.certificates if c.name == "initial_aux_le_discretized_lp")
+        assert cert.holds
     # per-pair Monte Carlo of the uniform-offset expectation inequality
     rng = np.random.default_rng(20240810)
     n = 100_000
@@ -175,14 +174,16 @@ def test_criterion_2_discretization_bound(kmed_runs):
     announce(
         "criterion-2 discretization bound",
         True,
-        f"offset objective within (tau-1)/ln(tau) of the LP on {2 * N_SEEDS} runs; "
+        f"offset objective within (tau-1)/ln(tau) of the LP on {len(runs)} runs; "
         "20 Monte Carlo pairs within 3 sigma at 1e5 samples",
     )
 
 
-def test_criterion_3_rounding_invariants(kmed_runs, partition_runs):
+def test_criterion_3_rounding_invariants(kmed_runs, partition_runs, gap_runs):
     checked = 0
-    for runs in (kmed_runs[1.91], partition_runs):  # h = 2 and h = 1
+    # h = 2 and h = 1, then the gap family's cardinality (h = 2) and
+    # matroid (h = 1) runs
+    for runs in (kmed_runs[1.91], partition_runs, *gap_runs[0].values()):
         for inst, rep, _ in runs:
             objs = [t["objective"] for t in rep.iterations]
             assert all(b - a <= 1e-7 for a, b in zip(objs, objs[1:]))

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discmed import instance as I
+from discmed import knapsack
 from discmed.fractional import (
     FractionalSolution,
     build_natural_lp,
@@ -243,3 +246,68 @@ class TestDuplicateFacilities:
                     per[bs.orig[c]] = per.get(bs.orig[c], 0.0) + float(bs.y[c])
                 for f, mass in per.items():
                     assert mass == pytest.approx(float(sol.x[inst.fac_pos[f], cj]), abs=1e-7)
+
+
+def ball_system_digest(systems) -> str:
+    """sha1 of each system's copy ids, masses, distances, sorted balls and star costs."""
+    h = hashlib.sha1()
+    for bs in systems:
+        h.update(repr(bs.orig).encode() + bs.y.tobytes() + bs.dist.tobytes())
+        h.update(repr([sorted(ball) for ball in bs.F]).encode())
+        if bs.star is not None:
+            h.update(bs.star.tobytes())
+    return h.hexdigest()
+
+
+def layered_solution(inst, rng) -> FractionalSolution:
+    """A feasible fractional solution whose facilities serve clients at
+    several levels: each client takes a random share of each opening in a
+    random order, then tops up to one unit; some clients stay unserved."""
+    nf, nc = len(inst.facilities), len(inst.clients)
+    y = rng.choice([0.25, 0.5, 0.75, 1.0], nf) * rng.uniform(0.8, 1.0, nf)
+    y[rng.integers(nf)] = 1.0
+    x = np.zeros((nf, nc))
+    for cj in range(nc):
+        if rng.random() < 0.15:
+            continue
+        order = rng.permutation(nf)
+        rem = 1.0
+        for share in (rng.choice([0.25, 0.5, 1.0], nf), np.ones(nf)):
+            for fi in order:
+                take = min(float(y[fi]) * share[fi] - x[fi, cj], rem)
+                if take > 0:
+                    x[fi, cj] += take
+                    rem -= take
+    return FractionalSolution(x=x, y=y, objective_value=float((inst.contrib * x).sum()))
+
+
+class TestSplitPin:
+    # the digests were recorded before both splits listed each facility's
+    # copies on their own; copy order, masses, balls and star costs stay
+    # byte-identical
+
+    def test_plain_split_is_pinned(self):
+        rng = np.random.default_rng(24)
+        systems = []
+        for seed in range(40):
+            inst = I.generate(4, 6, kind="cardinality", seed=seed)
+            systems.append(duplicate_facilities(layered_solution(inst, rng), inst))
+        split = sum(bs.n_copies > 4 for bs in systems)
+        assert split >= 30, split
+        assert ball_system_digest(systems) == "8e11de8c26b16518a997bff5f849674d35fd746d"
+
+    def test_star_balanced_split_is_pinned(self, monkeypatch):
+        systems = []
+        inner = knapsack.duplicate_star_balanced
+
+        def recording(sol, inst, ext):
+            systems.append(inner(sol, inst, ext))
+            return systems[-1]
+
+        monkeypatch.setattr(knapsack, "duplicate_star_balanced", recording)
+        for nf, nc, seed in [(3, 4, 1), (3, 3, 2)]:
+            inst = I.generate(nf, nc, kind="knapsack", discount_scale=0.4, seed=seed)
+            knapsack.solve_knapmeddis(inst, tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25)
+        split = sum(bs.n_copies > len(set(bs.orig)) for bs in systems)
+        assert (len(systems), split) == (93, 63)
+        assert ball_system_digest(systems) == "9e1ac1038304190887748b61a850a4121f5b2305"

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discmed import InstanceError, check_bicriteria, generate, solve
+from discmed import InstanceError, check_bicriteria, generate, iterround, solve, solve_kmeddis
 from discmed.oracle import feasible_sets
+
+from .helpers import gap_instance
 
 # criterion-5 knapsack parameters
 KNAPSACK_OPTIONS = dict(tau=1.9, rho=0.5, delta=2.0 / 3.0, epsilon=0.25)
@@ -55,3 +57,28 @@ def test_knapsack_solves_are_certified(n_cli, seed):
     assert_certified(inst, solve(inst, **KNAPSACK_OPTIONS))
     with pytest.raises(InstanceError):
         solve(inst, **FOREIGN_OPTION["knapsack"])
+
+
+@given(
+    n=st.integers(min_value=4, max_value=6),
+    family=st.sampled_from(["cardinality", "uniform", "partition"]),
+    seed=seeds,
+    jitter=st.sampled_from([0.0, 0.5]),
+)
+@settings(max_examples=18, deadline=None, derandomize=True)
+def test_gap_family_solves_are_certified(n, family, seed, jitter):
+    # the gap family's natural LP is fractional, so these solves round
+    inst = gap_instance(n, family, seed, jitter)
+    assert_certified(inst, solve(inst))
+
+
+@pytest.mark.parametrize("h", [True, 2.0, 3], ids=["bool", "float", "three"])
+def test_step_size_must_be_the_int_1_or_2(monkeypatch, h):
+    def no_lp(*args):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(iterround, "solve_natural", no_lp)
+    inst = generate(3, 4, kind="cardinality", seed=1)
+    for run in (solve_kmeddis, solve):
+        with pytest.raises(InstanceError, match=f"step size h must be the int 1 or 2, got {h!r}"):
+            run(inst, h=h)
