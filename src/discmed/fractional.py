@@ -208,20 +208,20 @@ def greedy_open_set(inst: Instance) -> list[int]:
 
 
 def greedy_start(nat: NaturalLP, inst: Instance):
-    """A ``start`` for ``solve`` at the integral vertex of ``greedy_open_set``,
-    or None when that set is empty: ``(basic, opened)``.
+    """A ``start`` point for ``solve`` at the integral vertex of
+    ``greedy_open_set``, or None when that set is empty.
 
-    ``basic`` makes each client row's assignment to its nearest open facility
-    (the first by position on a tie) basic, so every inequality row keeps its
-    slack, and the open facilities' y sit at their upper bound 1.
+    The open facilities' y and each client's assignment to its nearest open
+    facility (the first by position on a tie) are 1, every other variable 0.
     """
     opened = sorted(greedy_open_set(inst))
     if not opened:
         return None
-    nearest = np.array(opened)[inst.dist_fc[opened].argmin(axis=0)]
-    # build_natural_lp puts client cj's assignment row at row cj
-    basic = {cj: nat.x_index[(int(fi), cj)] for cj, fi in enumerate(nearest)}
-    return basic, opened
+    nearest = np.array(opened)[inst.dist_fc[opened].argmin(axis=0)].tolist()
+    x0 = np.zeros(nat.lp.n_vars)
+    x0[opened] = 1.0
+    x0[[nat.x_index[(fi, cj)] for cj, fi in enumerate(nearest)]] = 1.0
+    return x0
 
 
 def solve_natural(inst: Instance, extended=None) -> FractionalSolution:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
@@ -456,12 +457,12 @@ def generate(
 
     ``kind`` is one of cardinality, uniform, partition, explicit, knapsack.
     """
-    if n_facilities < 1 or n_clients < 1:
-        raise InstanceError("generate: counts must be >= 1")
-    if not (math.isfinite(discount_scale) and discount_scale >= 0):
-        raise InstanceError(
-            f"generate: discount scale must be finite and non-negative, got {discount_scale}"
-        )
+    for n in (n_facilities, n_clients):
+        check_arg(n, "generate: counts", lambda c: c >= 1, "be >= 1", count=True)
+    check_arg(
+        discount_scale, "generate: discount scale", lambda s: 0.0 <= s < math.inf,
+        "be finite and non-negative",
+    )
     rng = seeded_rng(seed)
     fids = tuple(f"f{k:02d}" for k in range(n_facilities))
     cids = tuple(f"c{k:02d}" for k in range(n_clients))
@@ -562,6 +563,17 @@ def _real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceError(f"{what} must be a number, got {json.dumps(value)}")
     return float(value)
+
+
+def check_arg(value, what: str, ok, must: str, *, count: bool = False) -> None:
+    """Refuse a solver or generator argument with InstanceError: a bool or a
+    non-number (a numeric string too; with ``count``, a non-integer) as not
+    a number, and a value failing ``ok`` as "``what`` must ``must``"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if count else numbers.Real):
+        kind = "an integer" if count else "a number"
+        raise InstanceError(f"{what} must be {kind}, got {value!r}")
+    if not ok(value):
+        raise InstanceError(f"{what} must {must}, got {value!r}")
 
 
 def _ids(entries, what: str) -> tuple[str, ...]:

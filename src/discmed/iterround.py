@@ -30,6 +30,7 @@ from .instance import (
     Instance,
     InstanceError,
     Matroid,
+    check_arg,
     checked,
     discounted_cost,
 )
@@ -440,12 +441,15 @@ def _pipeline(inst: Instance, tau: float, h: int) -> SolveReport:
     )
 
 
+def check_tau(tau) -> None:
+    check_arg(tau, "tau", lambda t: 1.0 < t < math.inf, "be finite and exceed 1")
+
+
 def solve_kmeddis(inst: Instance, tau: float = 1.91, h: int = 2) -> SolveReport:
     """Cardinality-constrained pipeline (step size 2 by default)."""
     if not isinstance(inst.constraint, Cardinality):
         raise InstanceError("solve_kmeddis needs a cardinality constraint")
-    if not 1.0 < tau < math.inf:
-        raise InstanceError("tau must be finite and exceed 1")
+    check_tau(tau)
     if isinstance(h, bool) or not isinstance(h, int) or h not in (1, 2):
         raise InstanceError(f"step size h must be the int 1 or 2, got {h!r}")
     return _pipeline(inst, tau, h)
@@ -455,6 +459,5 @@ def solve_matmeddis(inst: Instance, tau: float = 2.36) -> SolveReport:
     """Matroid-constrained pipeline (step size 1)."""
     if not isinstance(inst.constraint, Matroid):
         raise InstanceError("solve_matmeddis needs a matroid constraint")
-    if not 1.0 < tau < math.inf:
-        raise InstanceError("tau must be finite and exceed 1")
+    check_tau(tau)
     return _pipeline(inst, tau, 1)

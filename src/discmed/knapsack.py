@@ -29,6 +29,7 @@ from .instance import (
     InstanceError,
     Knapsack,
     Matroid,
+    check_arg,
     checked,
     discounted_cost,
 )
@@ -37,6 +38,7 @@ from .iterround import (
     RoundingError,
     SolveReport,
     VirtualClient,
+    check_tau,
     fractional_copies,
     iter_round,
     offset_support,
@@ -140,8 +142,7 @@ def enumerate_estimates(
     The grid grows as 1/epsilon, so SparsifyGuard is raised, before any pair
     is built, if there would be more than ``max_candidates`` pairs.
     """
-    if epsilon <= 0:
-        raise InstanceError("epsilon must be positive")
+    check_arg(epsilon, "epsilon", lambda e: 0.0 < e < math.inf, "be finite and positive")
     values = sorted({float(v) for v in inst.contrib.ravel() if v > 0})
     pairs: list[tuple[float, float]] = [(0.0, 0.0)]
     n = max(1, len(inst.clients))
@@ -620,14 +621,12 @@ def solve_knapmeddis(
     """
     if not isinstance(inst.constraint, Knapsack):
         raise InstanceError("solve_knapmeddis needs a knapsack constraint")
-    if not 1.0 < tau < math.inf:
-        raise InstanceError("tau must be finite and exceed 1")
-    if not (0.0 < rho < 1.0 and 0.0 < delta < 1.0):
-        raise InstanceError("rho and delta must lie in (0, 1)")
-    if not 0.0 < epsilon < math.inf:
-        raise InstanceError(f"epsilon must be finite and positive, got {epsilon}")
-    if jobs < 1:
-        raise InstanceError(f"jobs must be at least 1, got {jobs}")
+    check_tau(tau)
+    check_arg(rho, "rho", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+    check_arg(delta, "delta", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+    check_arg(epsilon, "epsilon", lambda e: 0.0 < e < math.inf, "be finite and positive")
+    check_arg(max_candidates, "max_candidates", lambda c: c >= 0, "be non-negative", count=True)
+    check_arg(jobs, "jobs", lambda j: j >= 1, "be at least 1", count=True)
     if caps is not None and not (isinstance(caps, (tuple, list)) and len(caps) == 2):
         raise InstanceError(f"caps must be a pair (cap1, cap2), got {caps!r}")
     for k, cap in enumerate(caps or (), start=1):

@@ -121,35 +121,37 @@ def _tableau(A, b, lo, hi, slack_of_row, start=None):
     """Reduced tableau, basis, sides, basic values, column bounds and
     artificial rows of the first basis.
 
-    Every structural sits at the bound nearest zero, or at its upper bound
-    when ``start`` lists it in ``upper``; the structural ``basic[i]`` of
-    ``start`` is pivoted in at row ``i`` by ``_pivot``; every other row takes
-    its slack when the slack's value is feasible, and an artificial column
-    (after the slacks) otherwise. A start is refused (None) when a pivot is
-    no larger than PIVOT_TOL, a basic value lies off its bounds by more than
-    FEAS_TOL or a row would need an artificial; a cold set-up never is.
+    Cold, every structural sits at the bound nearest zero, and every row takes
+    its slack when the slack's value is feasible and an artificial column
+    (after the slacks) otherwise. A ``start`` point gives every structural its
+    value instead; each "=" row makes basic the first structural in it, by
+    index, at its upper bound with lo < hi, pivoted in by ``_pivot`` in row
+    order, and every "<=" row keeps its slack. A start is refused (None) when
+    a value lies off both its bounds, an "=" row has no structural at its
+    upper bound, a pivot is no larger than PIVOT_TOL or a basic value lies off
+    its bounds by more than FEAS_TOL; a started set-up has no artificial.
     """
     m, n = A.shape
     N = n + len(slack_of_row)
-    basic, upper = start if start is not None else ({}, ())
-    x0 = np.where(np.abs(lo) <= np.abs(hi), lo, hi)
+    if start is None:
+        x0 = np.where(np.abs(lo) <= np.abs(hi), lo, hi)
+        eq, chosen = [], []
+    else:
+        x0 = np.array(start, float)
+        if not ((x0 == lo) | (x0 == hi)).all():
+            return None
+        eq = [i for i in range(m) if i not in slack_of_row]
+        picks = (A[eq] != 0.0) & (x0 == hi) & (lo < hi)
+        if not picks.any(axis=1).all():
+            return None
+        chosen = picks.argmax(axis=1).tolist()  # the first by index in each row
     side = np.where(x0 == lo, 1.0, -1.0)  # +1 at the lower bound, -1 at the upper, 0 basic
-    if len(upper):  # skipped when empty: a fancy index costs more than a tiny LP's set-up
-        up = list(upper)
-        x0[up] = hi[up]
-        side[up] = -1.0
-    if basic:
-        x0[list(basic.values())] = 0.0
+    if chosen:
+        x0[chosen] = 0.0
     resid = b - A @ x0 if m else np.zeros(0)
-    # a row without a named structural needs an artificial when it has no
-    # slack or, in a cold set-up, a negative one; a start's slacks are checked below
-    art = [
-        i for i in range(m)
-        if i not in basic
-        and (i not in slack_of_row or (start is None and resid[i] < 0.0))
-    ]
-    if art and start is not None:
-        return None
+    # cold, a row needs an artificial when it has no slack or a negative one;
+    # a start's slacks are checked below
+    art = [i for i in range(m) if start is None and (i not in slack_of_row or resid[i] < 0.0)]
 
     # columns: structurals, one slack per inequality row, artificials, right-hand side
     T = np.zeros((m, N + len(art) + 1))
@@ -162,8 +164,7 @@ def _tableau(A, b, lo, hi, slack_of_row, start=None):
     for k, i in enumerate(art):
         T[i, N + k] = 1.0 if resid[i] >= 0 else -1.0
         basis[i] = N + k
-    for i in sorted(basic):
-        j = basic[i]
+    for i, j in zip(eq, chosen):
         if abs(T[i, j]) <= PIVOT_TOL:
             return None  # singular, as the simplex's own pivot test judges it
         _pivot(T, i, j)
@@ -192,11 +193,10 @@ def _tableau(A, b, lo, hi, slack_of_row, start=None):
 def solve(lp: LinearProgram, start=None) -> BasicOptimal:
     """Optimal vertex of ``lp``; raises InfeasibleLP / UnboundedLP otherwise.
 
-    ``start`` is a pair ``(basic, upper)``: ``basic`` maps a row to the
-    structural column basic in it, ``upper`` lists the structurals nonbasic
-    at their upper bound. When it gives a primal feasible basis of ``lp``,
-    phase 1 is skipped and phase 2 starts from it; otherwise (see
-    ``_tableau``) the solve is cold, exactly as without a start.
+    ``start`` is a point: ``n_vars`` values, each at one of its bounds.
+    When the basis ``_tableau`` derives from it is primal feasible, phase 1
+    is skipped and phase 2 starts from it; otherwise the solve is cold,
+    exactly as without a start.
     """
     n = lp.n_vars
     lo = np.asarray(lp.lo, float).copy()

@@ -20,6 +20,7 @@ from .instance import (
     InstanceError,
     Knapsack,
     _real,
+    check_arg,
     discounted_cost,
     from_json,
     generate,
@@ -179,8 +180,7 @@ def solve_stochastic_center(
     Each step calls ``solve`` with ``tau`` (None: the family's default) and
     ``knap_options``; a knapsack base starts from SWEEP_KNAPSACK_OPTIONS.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InstanceError("epsilon must lie in (0, 1)")
+    check_arg(epsilon, "epsilon", lambda e: 0.0 < e < 1.0, "lie in (0, 1)")
     base = normalize(stoch.base)
     problems = validate_stochastic(StochasticInstance(base, stoch.points))
     if problems:

@@ -304,14 +304,9 @@ def test_degenerate_lps_return_certified_vertices(n, m, seed):
         assert started.objective_value == pytest.approx(ref.fun, abs=1e-7)
 
 
-def random_start(rng: np.random.Generator, lp: LinearProgram):
-    """A random ``(basic, upper)``: a distinct structural for every equality
-    row and for about half the inequality rows, and about half the other
-    structurals at their upper bound."""
-    rows = [i for i, rel in enumerate(lp.row_rel) if rel == "=" or rng.random() < 0.5]
-    cols = rng.permutation(lp.n_vars)[: len(rows)].tolist()
-    upper = [j for j in range(lp.n_vars) if j not in cols and rng.random() < 0.5]
-    return dict(zip(rows, cols)), upper
+def random_start(rng: np.random.Generator, lp: LinearProgram) -> np.ndarray:
+    """A random start point: each structural at its lower or upper bound."""
+    return np.where(rng.random(lp.n_vars) < 0.5, lp.lo, lp.hi)
 
 
 def solve_noting_refusal(lp: LinearProgram, start):
@@ -428,39 +423,41 @@ def test_dependent_equality_rows_give_certified_vertices(n, m, seed):
         assert res.objective_value == pytest.approx(ref.fun, abs=1e-7)
 
 
-def two_row_lp(rel: str = "<=") -> LinearProgram:
-    """x0 + x1 ``rel`` 1 (row 0) and -x0 - x1 <= -0.5 (row 1)."""
+def two_row_lp(rel0: str, rel1: str) -> LinearProgram:
+    """x0 + x1 ``rel0`` 1 (row 0) and -x0 - x1 ``rel1`` -1 (row 1)."""
     lp = LinearProgram(2, objective=[-1.0, -2.0])
-    lp.add_row({0: 1.0, 1: 1.0}, rel, 1.0)
-    lp.add_row({0: -1.0, 1: -1.0}, "<=", -0.5)
+    lp.add_row({0: 1.0, 1: 1.0}, rel0, 1.0)
+    lp.add_row({0: -1.0, 1: -1.0}, rel1, -1.0)
     return lp
 
 
 @pytest.mark.parametrize(
-    "rel, start",
+    "rels, start",
     [
-        ("=", ({}, ())),  # row 0 has no slack and no structural named: it needs an artificial
-        ("<=", ({0: 0, 1: 0}, ())),  # x0 named twice: its second pivot is 0
-        ("<=", ({0: 0, 1: 1}, ())),  # B = [[1, 1], [1, 1]]: singular
-        ("<=", ({}, (0, 1))),  # x = (1, 1): row 0's slack is -1
+        (("<=", "<="), [0.5, 0.0]),  # x0 = 0.5 lies off both its bounds
+        (("=", "<="), [0.0, 0.0]),  # row 0 has no structural at its upper bound
+        # rows 0 and 1 both make x0 basic: its second pivot is 0, the only way
+        # a started basis is singular, as the first column at its upper bound
+        # of each "=" row gives a triangular one otherwise
+        (("=", "="), [1.0, 0.0]),
+        (("<=", "<="), [1.0, 1.0]),  # row 0's slack is -1
     ],
-    ids=["short-basis", "repeated", "singular", "infeasible"],
+    ids=["off-bounds", "short-basis", "repeated", "infeasible"],
 )
-def test_unusable_start_solves_cold(rel, start):
-    lp = two_row_lp(rel)
+def test_unusable_start_solves_cold(rels, start):
+    lp = two_row_lp(*rels)
     cold = solve(lp)
     assert cold.pivots[0] > 0  # row 0 or row 1 needs an artificial, so phase 1 runs
-    assert same_result(solve(lp, start), cold)
+    res, refused = solve_noting_refusal(lp, np.array(start))
+    assert refused and same_result(res, cold)
 
 
 def test_ill_conditioned_start_solves_cold():
-    # B = [[1, 1], [-1, -1 - 1e-12]] has an inverse, but not one to trust
+    # x = (1, 1) is feasible with x0 basic, but row 0 pivots on 1e-12
     lp = LinearProgram(2, objective=[-1.0, -2.0])
-    lp.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
-    lp.add_row({0: -1.0, 1: -1.0 - 1e-12}, "<=", -1.0)  # x = (1, 0) is feasible at this basis
-    cold = solve(lp)
-    assert cold.pivots[0] > 0
-    assert same_result(solve(lp, ({0: 0, 1: 1}, ())), cold)
+    lp.add_row({0: 1e-12, 1: 1.0}, "=", 1.0)
+    res, refused = solve_noting_refusal(lp, np.array([1.0, 1.0]))
+    assert refused and same_result(res, solve(lp))
 
 
 def natural_lp_solved(inst):
@@ -506,13 +503,30 @@ def test_infeasible_greedy_start_solves_cold(monkeypatch):
     greedy_start = fractional.greedy_start
 
     def closed(nat, inst):
-        basic, _ = greedy_start(nat, inst)
-        return basic, ()  # every y at 0: each basic x breaks its x <= y row
+        x0 = greedy_start(nat, inst)
+        x0[: len(inst.facilities)] = 0.0  # every y at 0: each x at 1 breaks its x <= y row
+        return x0
 
     monkeypatch.setattr(fractional, "greedy_start", closed)
     lp, res = natural_lp_solved(generate(8, 20, kind="cardinality", seed=1))
     assert res.pivots[0] > 0
     assert same_result(res, solve(lp))
+
+
+def test_greedy_point_starts_the_natural_lp_with_rows_permuted():
+    inst = generate(8, 20, kind="partition", seed=1)
+    nat = build_natural_lp(inst)
+    x0 = fractional.greedy_start(nat, inst)
+    lp = nat.lp
+    shuffled = LinearProgram(lp.n_vars, objective=lp.objective, lo=lp.lo, hi=lp.hi)
+    A = lp.matrix()
+    for i in np.random.default_rng(1).permutation(lp.n_rows).tolist():
+        add_dense_row(shuffled, A[i], lp.row_rel[i], lp.row_rhs[i])
+    res = solve(shuffled, x0)
+    assert res.pivots[0] == 0
+    # the same vertex; the permuted pivots may round its values differently
+    np.testing.assert_allclose(res.values, solve(lp, x0).values, rtol=0.0, atol=1e-12)
+    assert_certified(shuffled, res)
 
 
 # sha1 of values.tobytes() + repr(basis_certificate) + repr(pivots) of the
@@ -561,7 +575,7 @@ def test_bound_audit_names_the_variable(monkeypatch):
 
 
 def test_row_audit_names_the_first_failing_row(monkeypatch):
-    # the started basis puts x0 = 0.5 in row 1; moved off by 0.5 to x0 = 1,
+    # the start (1, 0) makes x0 basic in row 1, at 0.5; moved off by 0.5 to x0 = 1,
     # it breaks rows 1 and 2 and keeps row 0, and phase 2 has no pivot to make
     tableau = lpcore._tableau
 
@@ -576,7 +590,7 @@ def test_row_audit_names_the_first_failing_row(monkeypatch):
     lp.add_row({0: 1.0}, "=", 0.5)
     lp.add_row({0: 1.0}, "<=", 0.75)
     with pytest.raises(LPError, match=r"post-hoc feasibility failed on row 1: residual 0.5$"):
-        solve(lp, ({1: 0}, ()))
+        solve(lp, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("rel", [">=", "<", "=="])

@@ -7,11 +7,24 @@ bi-criteria bound holds against the exhaustive optimum. Examples are
 derandomized so the suite is reproducible.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discmed import InstanceError, check_bicriteria, generate, iterround, solve, solve_kmeddis
+from discmed import (
+    InstanceError,
+    check_bicriteria,
+    generate,
+    generate_stochastic,
+    iterround,
+    solve,
+    solve_kmeddis,
+    solve_knapmeddis,
+    solve_matmeddis,
+    solve_stochastic_center,
+)
 from discmed.oracle import feasible_sets
 
 from .helpers import gap_instance
@@ -82,3 +95,47 @@ def test_step_size_must_be_the_int_1_or_2(monkeypatch, h):
     for run in (solve_kmeddis, solve):
         with pytest.raises(InstanceError, match=f"step size h must be the int 1 or 2, got {h!r}"):
             run(inst, h=h)
+
+
+ENTRIES = {
+    "solve_kmeddis": lambda **kw: solve_kmeddis(generate(3, 4, seed=1), **kw),
+    "solve": lambda **kw: solve(generate(3, 4, seed=1), **kw),
+    "solve_matmeddis": lambda **kw: solve_matmeddis(generate(3, 4, "partition", seed=1), **kw),
+    "solve_knapmeddis": lambda **kw: solve_knapmeddis(generate(2, 3, "knapsack", seed=1), **kw),
+    "solve_stochastic_center": lambda **kw: solve_stochastic_center(
+        generate_stochastic(3, 3, seed=1), **{"tau": None, "epsilon": 0.2, **kw}
+    ),
+    "generate": lambda **kw: generate(**{"n_facilities": 3, "n_clients": 4, **kw}),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, kwargs, message",
+    [
+        ("solve_kmeddis", {"tau": "2"}, "tau must be a number, got '2'"),
+        ("solve", {"tau": "2"}, "tau must be a number, got '2'"),
+        ("solve_matmeddis", {"tau": None}, "tau must be a number, got None"),
+        ("solve_matmeddis", {"tau": 1.0}, "tau must be finite and exceed 1, got 1.0"),
+        ("solve_knapmeddis", {"rho": "0.5"}, "rho must be a number, got '0.5'"),
+        ("solve_knapmeddis", {"delta": 1.0}, "delta must lie in (0, 1), got 1.0"),
+        ("solve_knapmeddis", {"epsilon": True}, "epsilon must be a number, got True"),
+        ("solve_knapmeddis", {"jobs": 1.5}, "jobs must be an integer, got 1.5"),
+        ("solve_knapmeddis", {"jobs": True}, "jobs must be an integer, got True"),
+        ("solve_knapmeddis", {"max_candidates": "9"}, "max_candidates must be an integer, got '9'"),
+        ("solve_knapmeddis", {"max_candidates": -1}, "max_candidates must be non-negative, got -1"),
+        ("solve_knapmeddis", {"max_candidates": 0.5}, "max_candidates must be an integer, got 0.5"),
+        ("solve_stochastic_center", {"tau": "2"}, "tau must be a number, got '2'"),
+        ("solve_stochastic_center", {"epsilon": "0.2"}, "epsilon must be a number, got '0.2'"),
+        ("solve_stochastic_center", {"epsilon": 1.0}, "epsilon must lie in (0, 1), got 1.0"),
+        ("generate", {"n_facilities": 2.5}, "generate: counts must be an integer, got 2.5"),
+        ("generate", {"n_facilities": True}, "generate: counts must be an integer, got True"),
+        ("generate", {"n_clients": 0}, "generate: counts must be >= 1, got 0"),
+        (
+            "generate", {"discount_scale": "1"},
+            "generate: discount scale must be a number, got '1'",
+        ),
+    ],
+)
+def test_public_entries_refuse_malformed_arguments(entry, kwargs, message):
+    with pytest.raises(InstanceError, match=re.escape(message) + "$"):
+        ENTRIES[entry](**kwargs)
