@@ -423,29 +423,33 @@ def test_dependent_equality_rows_give_certified_vertices(n, m, seed):
         assert res.objective_value == pytest.approx(ref.fun, abs=1e-7)
 
 
-def two_row_lp(rel0: str, rel1: str) -> LinearProgram:
-    """x0 + x1 ``rel0`` 1 (row 0) and -x0 - x1 ``rel1`` -1 (row 1)."""
+def two_row_lp(rel0: str, rel1: str, row1=(-1.0, -1.0)) -> LinearProgram:
+    """x0 + x1 ``rel0`` 1 (row 0) and ``row1`` @ x ``rel1`` -1 (row 1)."""
     lp = LinearProgram(2, objective=[-1.0, -2.0])
     lp.add_row({0: 1.0, 1: 1.0}, rel0, 1.0)
-    lp.add_row({0: -1.0, 1: -1.0}, rel1, -1.0)
+    lp.add_row({0: row1[0], 1: row1[1]}, rel1, -1.0)
     return lp
 
 
 @pytest.mark.parametrize(
-    "rels, start",
+    "rels, row1, start",
     [
-        (("<=", "<="), [0.5, 0.0]),  # x0 = 0.5 lies off both its bounds
-        (("=", "<="), [0.0, 0.0]),  # row 0 has no structural at its upper bound
+        (("<=", "<="), (-1.0, -1.0), [0.5, 0.0]),  # x0 = 0.5 lies off both its bounds
+        (("=", "<="), (-1.0, -1.0), [0.0, 0.0]),  # row 0 has no structural at its upper bound
         # rows 0 and 1 both make x0 basic: its second pivot is 0, the only way
         # a started basis is singular, as the first column at its upper bound
-        # of each "=" row gives a triangular one otherwise
-        (("=", "="), [1.0, 0.0]),
-        (("<=", "<="), [1.0, 1.0]),  # row 0's slack is -1
+        # of each "=" row gives a triangular one otherwise. Here the rows are
+        # independent (their vertex is x = (2/3, 1/3)), yet x0 is chosen twice ...
+        (("=", "="), (-2.0, 1.0), [1.0, 0.0]),
+        # ... and here the rows are dependent, so every start chooses one
+        # column twice and no started basis is nonsingular
+        (("=", "="), (-1.0, -1.0), [1.0, 0.0]),
+        (("<=", "<="), (-1.0, -1.0), [1.0, 1.0]),  # row 0's slack is -1
     ],
-    ids=["off-bounds", "short-basis", "repeated", "infeasible"],
+    ids=["off-bounds", "short-basis", "repeated", "singular", "infeasible"],
 )
-def test_unusable_start_solves_cold(rels, start):
-    lp = two_row_lp(*rels)
+def test_unusable_start_solves_cold(rels, row1, start):
+    lp = two_row_lp(*rels, row1=row1)
     cold = solve(lp)
     assert cold.pivots[0] > 0  # row 0 or row 1 needs an artificial, so phase 1 runs
     res, refused = solve_noting_refusal(lp, np.array(start))
