@@ -12,6 +12,8 @@ coordinates for the caller to resolve.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -38,6 +40,9 @@ from .lpcore import LinearProgram, solve
 
 SNAP_TOL = 1e-7
 OBJ_TOL = 1e-7
+
+# the auxiliary LPs solved so far in the active aux_lp_memo scope, None outside one
+_aux_solved: ContextVar[dict | None] = ContextVar("aux_solved", default=None)
 
 
 class RoundingError(RuntimeError):
@@ -168,6 +173,48 @@ def _aux_lp(state: RoundState, rows) -> tuple[LinearProgram, float]:
     return lp, const
 
 
+@contextmanager
+def aux_lp_memo():
+    """Scope in which ``iter_round`` solves each distinct auxiliary LP once.
+
+    ``solve`` is deterministic, so a repeat of an LP already solved in the
+    scope reuses its ``BasicOptimal``, with ``values`` read-only; every output
+    is the same as without the scope.
+    """
+    token = _aux_solved.set({})
+    try:
+        yield
+    finally:
+        _aux_solved.reset(token)
+
+
+def _solve_aux(lp: LinearProgram):
+    """``solve(lp)``, or the stored result of the same LP in an aux_lp_memo scope.
+
+    The key is the exact content ``solve`` reads, floats by their bytes.
+    """
+    solved = _aux_solved.get()
+    if solved is None:
+        return solve(lp)
+    key = (
+        lp.n_vars,
+        lp.objective.tobytes(),
+        lp.lo.tobytes(),
+        lp.hi.tobytes(),
+        tuple(lp.row_rel),
+        np.array(lp.row_rhs, float).tobytes(),
+        tuple(lp.entry_row),
+        tuple(lp.entry_var),
+        np.array(lp.entry_coeff, float).tobytes(),
+    )
+    res = solved.get(key)
+    if res is None:
+        res = solve(lp)
+        res.values.flags.writeable = False
+        solved[key] = res
+    return res
+
+
 def _contribution(state: RoundState, key: str, y: np.ndarray) -> float:
     gain = state.gain[:, state.inst.cli_pos[key]]
     if key in state.C0:
@@ -240,7 +287,7 @@ def iter_round(
     y = np.zeros(bs.n_copies)
     for _ in range(budget):
         lp, const = _aux_lp(state, rows)
-        res = solve(lp)
+        res = _solve_aux(lp)
         y = res.values
         aux = res.objective_value + const
         last = state.trace[-1]["objective"] if state.trace else None

@@ -193,12 +193,14 @@ def _tableau(A, b, lo, hi, slack_of_row, start=None):
 def solve(lp: LinearProgram, start=None) -> BasicOptimal:
     """Optimal vertex of ``lp``; raises InfeasibleLP / UnboundedLP otherwise.
 
-    ``start`` is a point: ``n_vars`` values, each at one of its bounds.
-    When the basis ``_tableau`` derives from it is primal feasible, phase 1
-    is skipped and phase 2 starts from it; otherwise the solve is cold,
-    exactly as without a start.
+    ``start`` is a point: ``n_vars`` values, each at one of its bounds
+    (LPError for another length). When the basis ``_tableau`` derives from
+    it is primal feasible, phase 1 is skipped and phase 2 starts from it;
+    otherwise the solve is cold, exactly as without a start.
     """
     n = lp.n_vars
+    if start is not None and np.shape(start) != (n,):
+        raise LPError(f"start has {np.size(start)} values for {n} variables")
     lo = np.asarray(lp.lo, float).copy()
     hi = np.asarray(lp.hi, float).copy()
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):

@@ -29,6 +29,7 @@ from .instance import (
     to_json,
     validate,
 )
+from .iterround import aux_lp_memo
 from .knapsack import solve
 
 EXACT_OUTCOME_GUARD = 1_000_000
@@ -179,6 +180,8 @@ def solve_stochastic_center(
     and E[max] <= (alpha + beta) * T_star is evaluated exactly when feasible.
     Each step calls ``solve`` with ``tau`` (None: the family's default) and
     ``knap_options``; a knapsack base starts from SWEEP_KNAPSACK_OPTIONS.
+    The steps share one ``aux_lp_memo``, so the sweep solves each distinct
+    auxiliary LP once.
     """
     check_arg(epsilon, "epsilon", lambda e: 0.0 < e < 1.0, "lie in (0, 1)")
     base = normalize(stoch.base)
@@ -211,19 +214,20 @@ def solve_stochastic_center(
     sweep: list[SweepStep] = []
     best: SweepStep | None = None
     flagged = False
-    for T in ts:
-        inst_t = replace(weighted, discounts={j: T for j in base.clients})
-        rep = solve(inst_t, tau, **opts)
-        solution, alpha, beta = rep.solution, rep.alpha, rep.beta
-        cost = discounted_cost(inst_t, solution, alpha if T > 0 else 1.0)
-        passed = cost <= beta * T + 1e-9
-        sweep.append(SweepStep(T=T, solution=solution, cost=cost, passed=passed))
-        if passed:
-            best = sweep[-1]
-        else:
-            if T == 0.0:
-                flagged = True  # criterion held down to the unit floor only
-            break
+    with aux_lp_memo():
+        for T in ts:
+            inst_t = replace(weighted, discounts={j: T for j in base.clients})
+            rep = solve(inst_t, tau, **opts)
+            solution, alpha, beta = rep.solution, rep.alpha, rep.beta
+            cost = discounted_cost(inst_t, solution, alpha if T > 0 else 1.0)
+            passed = cost <= beta * T + 1e-9
+            sweep.append(SweepStep(T=T, solution=solution, cost=cost, passed=passed))
+            if passed:
+                best = sweep[-1]
+            else:
+                if T == 0.0:
+                    flagged = True  # criterion held down to the unit floor only
+                break
     if best is None:
         raise InstanceError("the sweep acceptance test failed at the diameter")
 
@@ -255,8 +259,22 @@ def generate_stochastic(
 
     Per-location probabilities are at least ``prob_floor`` so any instance
     with a nonzero optimum has optimum at least that floor; the sweep's unit
-    stopping threshold then cannot void the certified constant.
+    stopping threshold then cannot void the certified constant; a floor above
+    0.5 leaves a two-location point no room for its second probability.
     """
+    counts = {"n_facilities": n_facilities, "n_points": n_points}
+    if n_clients is not None:
+        counts["n_clients"] = n_clients
+    for what, n in counts.items():
+        check_arg(n, f"generate_stochastic: {what}", lambda c: c >= 1, "be >= 1", count=True)
+    check_arg(
+        seed, "generate_stochastic: seed", lambda s: s >= 0, "be a non-negative integer",
+        count=True,
+    )
+    check_arg(
+        prob_floor, "generate_stochastic: prob_floor", lambda q: 0.0 < q <= 0.5,
+        "lie in (0, 0.5]",
+    )
     rng = seeded_rng(seed)
     if n_clients is None:
         n_clients = max(2, n_points + int(rng.integers(0, 3)))

@@ -464,6 +464,14 @@ def test_ill_conditioned_start_solves_cold():
     assert refused and same_result(res, solve(lp))
 
 
+@pytest.mark.parametrize("start", [[1.0, 0.0], [1.0], [1.0, 0.0, 0.0, 1.0]], ids=len)
+def test_start_of_another_length_is_an_lp_error(start):
+    lp = LinearProgram(3, objective=[-1.0, -2.0, 0.0])
+    lp.add_row({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 1.0)
+    with pytest.raises(LPError, match=rf"^start has {len(start)} values for 3 variables$"):
+        solve(lp, np.array(start))
+
+
 def natural_lp_solved(inst):
     """The natural LP that ``solve_natural(inst)`` builds and the result it gets."""
     seen = []

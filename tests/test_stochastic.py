@@ -1,13 +1,17 @@
+import contextlib
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import discmed
-from discmed import fractional, stochastic
+from discmed import fractional, iterround, stochastic
 from discmed import instance as I
-from discmed.iterround import bicriteria_factors
+from discmed.iterround import bicriteria_factors, solve_kmeddis
+from discmed.lpcore import LinearProgram
 from discmed.knapsack import OptionError, knapsack_alpha, knapsack_est_coefficient
 from discmed.oracle import brute_opt, brute_stochastic_opt
 from discmed.stochastic import (
@@ -120,6 +124,35 @@ class TestValidateAndJson:
         back = stochastic_from_json(stochastic_to_json(st))
         assert back.points == st.points
         assert back.base.clients == st.base.clients
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((3, 2.5, "uniform", 0, 0.4, 4), {}, "n_points must be an integer, got 2.5"),
+            ((3, 2.5), {}, "n_points must be an integer, got 2.5"),
+            ((3, 0), {}, "n_points must be >= 1, got 0"),
+            ((0, 3), {}, "n_facilities must be >= 1, got 0"),
+            ((True, 3), {}, "n_facilities must be an integer, got True"),
+            ((3, 3), {"n_clients": 1.5}, "n_clients must be an integer, got 1.5"),
+            ((3, 3), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ((3, 3), {"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ((3, 3), {"prob_floor": "0.4"}, "prob_floor must be a number, got '0.4'"),
+            ((3, 3), {"prob_floor": 0.7}, r"prob_floor must lie in \(0, 0.5\], got 0.7"),
+            ((3, 3), {"prob_floor": 0.0}, r"prob_floor must lie in \(0, 0.5\], got 0.0"),
+        ],
+        ids=[
+            "float-points-with-clients", "float-points", "no-points", "no-facilities",
+            "bool-facilities", "float-clients", "float-seed", "negative-seed", "text-floor",
+            "floor-above-half", "zero-floor",
+        ],
+    )
+    def test_generate_refuses_bad_arguments(self, args, kwargs, message):
+        with pytest.raises(I.InstanceError, match=f"^generate_stochastic: {message}$"):
+            generate_stochastic(*args, **kwargs)
+
+    def test_generate_at_the_highest_floor(self):
+        st = generate_stochastic(3, 6, prob_floor=0.5, seed=3)
+        assert all(q >= 0.5 for pt in st.points for q in pt.dist.values())
 
 
 class TestSweep:
@@ -278,6 +311,108 @@ class TestWarmSweep:
     def test_warm_option_is_refused(self):
         with pytest.raises(OptionError, match="warm"):
             discmed.solve(I.generate(3, 4, kind="cardinality", seed=1), warm={})
+
+
+# four seeded sweeps and their sha1 of json.dumps(report.to_json(), sort_keys=True),
+# recorded before a sweep shared its auxiliary LPs
+PINNED_SWEEPS = [
+    ("cardinality", 4, 5, 1, None, "11b391e6d4595b6dd985f7586a9ad53794ceeb77"),
+    ("uniform", 4, 5, 2, None, "48eb4351ec0f32660d7d6d4a07b1a69d518f5881"),
+    ("partition", 4, 3, 3, None, "06acb66c5202a86e937581412d10f173cc56fb29"),
+    ("knapsack", 2, 2, 1, {"jobs": 1}, "775a4dde9ebbcf2c9420b82a0a7c9f0db0d082e1"),
+    ("knapsack", 2, 2, 1, {"jobs": 2}, "775a4dde9ebbcf2c9420b82a0a7c9f0db0d082e1"),
+]
+
+
+def sweep_digest(kind, n_fac, n_pts, seed, knap_options) -> str:
+    st = generate_stochastic(n_fac, n_pts, kind=kind, seed=seed)
+    _, rep = solve_stochastic_center(st, None, 0.2, knap_options)
+    return hashlib.sha1(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def dense_key(lp: LinearProgram) -> tuple:
+    """An LP's content, independent of the order its entries were added in."""
+    return (
+        lp.objective.tobytes(), lp.lo.tobytes(), lp.hi.tobytes(), tuple(lp.row_rel),
+        np.array(lp.row_rhs).tobytes(), lp.matrix().tobytes(),
+    )
+
+
+def aux_lps_solved(monkeypatch, run) -> tuple:
+    """``run()``'s result, and the auxiliary LPs it hands to ``iterround.solve``."""
+    solved = []
+    real = iterround.solve
+
+    def recording_solve(lp, start=None):
+        solved.append(lp)
+        return real(lp, start)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(iterround, "solve", recording_solve)
+        return run(), solved
+
+
+class TestSweepSharesAuxLPs:
+    # a sweep solves its steps inside iterround.aux_lp_memo(); contextlib.nullcontext
+    # in its place solves every auxiliary LP
+    @pytest.mark.parametrize(
+        "kind, n_fac, n_pts, seed, knap_options, digest", PINNED_SWEEPS,
+        ids=["cardinality", "uniform", "partition", "knapsack-jobs-1", "knapsack-jobs-2"],
+    )
+    def test_report_is_pinned_with_and_without_the_memo(
+        self, monkeypatch, kind, n_fac, n_pts, seed, knap_options, digest
+    ):
+        assert sweep_digest(kind, n_fac, n_pts, seed, knap_options) == digest
+        monkeypatch.setattr(stochastic, "aux_lp_memo", contextlib.nullcontext)
+        assert sweep_digest(kind, n_fac, n_pts, seed, knap_options) == digest
+
+    @pytest.mark.parametrize("kind, seed", [("cardinality", 1), ("uniform", 2), ("partition", 3)])
+    def test_each_distinct_aux_lp_is_solved_once(self, monkeypatch, kind, seed):
+        st = generate_stochastic(4, 5, kind=kind, seed=seed)
+        _, shared = aux_lps_solved(monkeypatch, lambda: solve_stochastic_center(st, None, 0.2))
+        monkeypatch.setattr(stochastic, "aux_lp_memo", contextlib.nullcontext)
+        _, every = aux_lps_solved(monkeypatch, lambda: solve_stochastic_center(st, None, 0.2))
+        distinct = set(map(dense_key, every))
+        assert len(shared) == len(set(map(dense_key, shared))) == len(distinct) < len(every)
+        assert set(map(dense_key, shared)) == distinct
+
+    def test_a_repeat_reuses_a_read_only_result(self):
+        def lp(objective):
+            lp = LinearProgram(2, objective=objective)
+            lp.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
+            return lp
+
+        fresh = iterround._solve_aux(lp([0.0, -1.0]))
+        fresh.values[0] = 0.5  # outside a memo the values are the caller's
+        with iterround.aux_lp_memo():
+            first = iterround._solve_aux(lp([0.0, -1.0]))
+            again = iterround._solve_aux(lp([0.0, -1.0]))
+            signed = iterround._solve_aux(lp([-0.0, -1.0]))  # another key: floats by bytes
+        assert again is first and signed is not first
+        with pytest.raises(ValueError, match="read-only"):
+            again.values[0] = 1.0
+
+    def test_a_failed_sweep_leaves_no_memo(self, monkeypatch):
+        real_solve, steps = stochastic.solve, []
+
+        def failing_step(inst, tau=None, **opts):
+            steps.append(inst)
+            if len(steps) == 3:
+                raise RuntimeError("step 3 fails")
+            return real_solve(inst, tau, **opts)
+
+        monkeypatch.setattr(stochastic, "solve", failing_step)
+        with pytest.raises(RuntimeError, match="step 3 fails"):
+            solve_stochastic_center(generate_stochastic(4, 5, seed=1), None, 0.2)
+        monkeypatch.undo()
+        assert iterround._aux_solved.get() is None
+
+        inst = I.generate(4, 6, kind="cardinality", seed=1)
+        rep, alone = aux_lps_solved(monkeypatch, lambda: solve_kmeddis(inst))
+        assert len(alone) == len(rep.iterations)  # one LP per iteration
+        with iterround.aux_lp_memo():
+            _, shared = aux_lps_solved(monkeypatch, lambda: solve_kmeddis(inst))
+        assert len(shared) < len(alone)  # so the count above would show a leaked memo
 
 
 class TestBernoulliMaxLemma:
