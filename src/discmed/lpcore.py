@@ -60,6 +60,10 @@ class LinearProgram:
         self.objective = np.zeros(n) if self.objective is None else np.asarray(self.objective, float)
         self.lo = np.zeros(n) if self.lo is None else np.asarray(self.lo, float)
         self.hi = np.ones(n) if self.hi is None else np.asarray(self.hi, float)
+        for name in ("objective", "lo", "hi"):
+            values = getattr(self, name)
+            if values.shape != (n,):
+                raise LPError(f"{name} has {values.size} values for {n} variables")
 
     def add_row(self, coeffs: dict, rel: str, rhs: float) -> None:
         """Add the row sum of ``coeffs[var] * x[var]`` ``rel`` ``rhs``."""
@@ -76,9 +80,18 @@ class LinearProgram:
         return len(self.row_rhs)
 
     def matrix(self) -> np.ndarray:
-        """The rows as a dense n_rows x n_vars array."""
-        A = np.zeros((self.n_rows, self.n_vars))
-        A[self.entry_row, self.entry_var] = self.entry_coeff
+        """The rows as a dense n_rows x n_vars array.
+
+        LPError when a row names a variable outside 0 .. n_vars - 1.
+        """
+        var, n = self.entry_var, self.n_vars
+        if var and (min(var) < 0 or max(var) >= n):
+            k = next(k for k, j in enumerate(var) if not 0 <= j < n)
+            raise LPError(
+                f"row {self.entry_row[k]} names variable {var[k]} of an LP over {n} variables"
+            )
+        A = np.zeros((self.n_rows, n))
+        A[self.entry_row, var] = self.entry_coeff
         return A
 
 
@@ -103,18 +116,22 @@ class BasicOptimal:
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     """Make ``col`` the unit column of ``row`` by in-place row operations.
 
-    Only rows with a nonzero in ``col`` change. Each touched entry gets the
-    same ``T[i, j] - colv[i] * T[row, j]`` as a full outer-product update,
-    without an m-by-N temporary.
+    After dividing the pivot row, only the block where the rows with a
+    nonzero in ``col`` meet the columns with a nonzero in the pivot row
+    changes, in one vectorised update. Each entry of the block gets the same
+    ``T[i, j] - colv[i] * prow[j]`` as a dense outer-product update. Every
+    entry left out has ``colv[i] == 0`` or ``prow[j] == ±0``, where the dense
+    update subtracts a zero: a nonzero entry keeps its value, and a zero
+    entry can at most change its sign, which no ratio test, eligibility
+    test, bound comparison or audit reads.
     """
-    T[row, :] /= T[row, col]
+    prow = T[row]
+    prow /= prow[col]
     colv = T[:, col].copy()
     colv[row] = 0.0
-    prow = T[row]
-    nz = colv.nonzero()[0]
-    for i, f in zip(nz.tolist(), colv[nz].tolist()):
-        target = T[i]
-        target -= f * prow  # in place on the row view
+    rows = colv.nonzero()[0]
+    cols = prow.nonzero()[0]
+    T[rows[:, None], cols] -= colv[rows, None] * prow[cols]
 
 
 def _tableau(A, b, lo, hi, slack_of_row, start=None):
@@ -203,8 +220,11 @@ def solve(lp: LinearProgram, start=None) -> BasicOptimal:
         raise LPError(f"start has {np.size(start)} values for {n} variables")
     lo = np.asarray(lp.lo, float).copy()
     hi = np.asarray(lp.hi, float).copy()
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise LPError("variable bounds must be finite")
+    if not np.isfinite(lp.objective).all():
+        j = int(np.isfinite(lp.objective).argmin())
+        raise LPError(f"objective entry {j} is {float(lp.objective[j])}, not finite")
     if np.any(lo > hi + 1e-15):
         raise InfeasibleLP("variable with lo > hi")
     hi = np.maximum(hi, lo)

@@ -261,12 +261,15 @@ def generate_stochastic(
     with a nonzero optimum has optimum at least that floor; the sweep's unit
     stopping threshold then cannot void the certified constant; a floor above
     0.5 leaves a two-location point no room for its second probability.
+    A point draws up to two distinct locations from the base clients, so a
+    given ``n_clients`` must be at least 2; a drawn one is at least 2 too.
     """
-    counts = {"n_facilities": n_facilities, "n_points": n_points}
-    if n_clients is not None:
-        counts["n_clients"] = n_clients
-    for what, n in counts.items():
+    for what, n in (("n_facilities", n_facilities), ("n_points", n_points)):
         check_arg(n, f"generate_stochastic: {what}", lambda c: c >= 1, "be >= 1", count=True)
+    if n_clients is not None:
+        check_arg(
+            n_clients, "generate_stochastic: n_clients", lambda c: c >= 2, "be >= 2", count=True
+        )
     check_arg(
         seed, "generate_stochastic: seed", lambda s: s >= 0, "be a non-negative integer",
         count=True,
@@ -278,7 +281,6 @@ def generate_stochastic(
     rng = seeded_rng(seed)
     if n_clients is None:
         n_clients = max(2, n_points + int(rng.integers(0, 3)))
-    n_clients = max(2, n_clients)
     base = generate(n_facilities, n_clients, kind=kind, discount_scale=0.0, seed=seed + 1)
     points = []
     for v in range(n_points):

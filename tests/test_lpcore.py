@@ -203,7 +203,8 @@ def knapsack_extended_instance():
 
 
 # sha1 of values.tobytes() + repr(basis_certificate), recorded before the
-# tableau update became row-sparse: the pivot may get cheaper, never move the vertex
+# tableau update became row-sparse and kept when it came to skip the pivot
+# row's zero columns too: the pivot may get cheaper, never move the vertex
 @pytest.mark.parametrize(
     "build, digest",
     [
@@ -223,6 +224,49 @@ def test_natural_lp_vertex_is_pinned(build, digest):
     res = solve(build_natural_lp(*build()).lp)
     got = hashlib.sha1(res.values.tobytes() + repr(res.basis_certificate).encode()).hexdigest()
     assert got == digest
+
+
+# a small tableau: integer entries, signed zeros and whole zero columns
+PIVOT_ENTRIES = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def pivot_cases(draw):
+    """A small tableau and a (row, col) whose entry is larger than PIVOT_TOL."""
+    m, N = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    T = np.array(draw(st.lists(PIVOT_ENTRIES, min_size=m * N, max_size=m * N))).reshape(m, N)
+    for j in draw(st.sets(st.integers(0, N - 1))):
+        T[:, j] = np.copysign(0.0, T[:, j])  # a zero column, keeping each entry's sign
+    row, col = draw(st.integers(0, m - 1)), draw(st.integers(0, N - 1))
+    T[row, col] = draw(st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0]))
+    return T, row, col
+
+
+@given(case=pivot_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_pivot_matches_the_dense_update(case):
+    T0, row, col = case
+    assert abs(T0[row, col]) > lpcore.PIVOT_TOL
+    prow = T0[row] / T0[row, col]
+    colv = T0[:, col].copy()
+    colv[row] = 0.0
+    ref = T0.copy()
+    ref[row] = prow
+    ref -= np.outer(colv, prow)  # the independent dense reference
+    T = T0.copy()
+    lpcore._pivot(T, row, col)
+
+    assert np.array_equal(T, ref)
+    assert T[row].tobytes() == prow.tobytes()
+    touched = colv != 0.0
+    # in the rows the update touches, a column with a nonzero in the pivot row
+    # is bitwise the reference, and every other column keeps its bits
+    nz = prow != 0.0
+    assert T[touched][:, nz].tobytes() == ref[touched][:, nz].tobytes()
+    assert T[touched][:, ~nz].tobytes() == T0[touched][:, ~nz].tobytes()
+    untouched = ~touched
+    untouched[row] = False
+    assert T[untouched].tobytes() == T0[untouched].tobytes()
 
 
 def degenerate_lp(rng: np.random.Generator, n: int, m: int) -> LinearProgram:
@@ -560,6 +604,16 @@ def test_crash_started_natural_lp_is_pinned(kind, digest):
     assert hashlib.sha1(blob).hexdigest() == digest
 
 
+# sha1 as above, of a natural LP where most pivot rows are sparse (961 rows,
+# 915 variables, 1,211 phase-2 pivots), recorded while the tableau update
+# still subtracted whole rows
+def test_crash_started_15x60_natural_lp_is_pinned():
+    _, res = natural_lp_solved(generate(15, 60, kind="cardinality", seed=0))
+    assert res.pivots == (0, 1211)
+    blob = res.values.tobytes() + repr(res.basis_certificate).encode() + repr(res.pivots).encode()
+    assert hashlib.sha1(blob).hexdigest() == "87c1d91345d2d8f5f8b813678f7056753aa357b7"
+
+
 @pytest.mark.parametrize(
     "sign, message",
     [
@@ -612,6 +666,35 @@ def test_add_row_refuses_other_relations(rel):
         lp.add_row({0: 1.0}, rel, 1.0)
     assert lp.n_rows == 0
     assert lp.matrix().shape == (0, 2)
+
+
+def lp_with_row(coeffs: dict) -> LinearProgram:
+    """x0 <= 1 (row 0) and the row ``coeffs`` = 1 (row 1) over two variables."""
+    lp = LinearProgram(2, objective=[1.0, 1.0])
+    lp.add_row({0: 1.0}, "<=", 1.0)
+    lp.add_row(coeffs, "=", 1.0)
+    return lp
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: lp_with_row({-1: 1.0}), "row 1 names variable -1 of an LP over 2 variables"),
+        (lambda: lp_with_row({0: 1.0, 5: 1.0}), "row 1 names variable 5 of an LP over 2 variables"),
+        (lambda: LinearProgram(3, objective=np.ones(2)), "objective has 2 values for 3 variables"),
+        (lambda: LinearProgram(3, lo=np.zeros(2)), "lo has 2 values for 3 variables"),
+        (lambda: LinearProgram(3, hi=np.ones(4)), "hi has 4 values for 3 variables"),
+        (lambda: LinearProgram(2, objective=[np.nan, 1.0]), "objective entry 0 is nan, not finite"),
+        (lambda: LinearProgram(2, objective=[1, -np.inf]), "objective entry 1 is -inf, not finite"),
+    ],
+    ids=[
+        "negative-variable", "variable-past-the-end", "short-objective", "short-lo", "long-hi",
+        "nan-objective", "infinite-objective",
+    ],
+)
+def test_malformed_lp_is_an_lp_error(build, message):
+    with pytest.raises(LPError, match=f"^{message}$"):
+        solve(build())
 
 
 def _aux_lps(monkeypatch, run) -> tuple[str, str, int]:

@@ -134,6 +134,7 @@ class TestValidateAndJson:
             ((0, 3), {}, "n_facilities must be >= 1, got 0"),
             ((True, 3), {}, "n_facilities must be an integer, got True"),
             ((3, 3), {"n_clients": 1.5}, "n_clients must be an integer, got 1.5"),
+            ((3, 3), {"n_clients": 1}, "n_clients must be >= 2, got 1"),
             ((3, 3), {"seed": 1.5}, "seed must be an integer, got 1.5"),
             ((3, 3), {"seed": -1}, "seed must be a non-negative integer, got -1"),
             ((3, 3), {"prob_floor": "0.4"}, "prob_floor must be a number, got '0.4'"),
@@ -142,8 +143,8 @@ class TestValidateAndJson:
         ],
         ids=[
             "float-points-with-clients", "float-points", "no-points", "no-facilities",
-            "bool-facilities", "float-clients", "float-seed", "negative-seed", "text-floor",
-            "floor-above-half", "zero-floor",
+            "bool-facilities", "float-clients", "one-client", "float-seed", "negative-seed",
+            "text-floor", "floor-above-half", "zero-floor",
         ],
     )
     def test_generate_refuses_bad_arguments(self, args, kwargs, message):
