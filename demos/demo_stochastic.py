@@ -7,6 +7,8 @@ the smallest T that passes the beta*T acceptance test. The certified chain
 bounds the expected maximum by (alpha + beta) * T_star.
 """
 
+import math
+
 from discmed import (
     brute_stochastic_opt,
     eval_expected_max,
@@ -37,9 +39,11 @@ print(f"T* = {rep.t_star:.4f}  (fallback flagged: {rep.flagged})")
 # ---------------------------------------------------------------------------
 # exact evaluation and the certified constant
 
-value = eval_expected_max(stoch, S, mode="exact")
-mc = eval_expected_max(stoch, S, mode=("montecarlo", 200_000, 1))
-print(f"\nE[max] of the output: exact {value:.4f}, monte carlo {mc:.4f}")
+value = eval_expected_max(stoch, S)
+outcomes = math.prod(
+    sum(q > 0 for q in pt.dist.values()) + (pt.none_probability() > 0) for pt in stoch.points
+)
+print(f"\nE[max] of the output: exact {value:.4f} over {outcomes} realization outcomes")
 print(f"certified: E[max] <= (alpha + beta) T* = {(rep.alpha + rep.beta) * rep.t_star:.4f}")
 
 opt = brute_stochastic_opt(stoch)

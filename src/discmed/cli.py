@@ -21,14 +21,13 @@ from .instance import (
     dump,
     from_json,
     generate,
-    seeded_rng,
     to_json,
 )
 from .iterround import RoundingError
 from .knapsack import OptionError, SparsifyGuard, solve
 from .lpcore import LPError
 from .oracle import GuardExceeded, check_bicriteria
-from .stochastic import eval_expected_max, solve_stochastic_center, stochastic_from_json
+from .stochastic import solve_stochastic_center, stochastic_from_json
 
 
 def _load_json(path: str) -> dict:
@@ -137,7 +136,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stochastic(args) -> int:
-    seeded_rng(args.seed)  # the Monte-Carlo fallback's seed is refused before the sweep
     stoch = stochastic_from_json(_load_json(args.instance))
     solution, rep = solve_stochastic_center(
         stoch,
@@ -153,18 +151,12 @@ def _cmd_stochastic(args) -> int:
         "instance": args.instance,
         "tau": rep.tau,
         "epsilon": args.epsilon,
-        "seed": args.seed,
     }
-    if rep.expected_max is None:  # too many outcomes for the exact evaluation
-        blob["expectedMax"] = eval_expected_max(
-            stoch, solution, mode=("montecarlo", 100_000, args.seed)
-        )
-        blob["expectedMaxMode"] = "montecarlo"
-    certified = blob["expectedMax"] <= (rep.alpha + rep.beta) * rep.t_star + 1e-6
+    certified = rep.expected_max <= (rep.alpha + rep.beta) * rep.t_star + 1e-6
     blob["certificates"] = [
         {
             "name": "expected_max_le_alpha_beta_Tstar",
-            "lhs": blob["expectedMax"],
+            "lhs": rep.expected_max,
             "rhs": (rep.alpha + rep.beta) * rep.t_star,
             "holds": bool(certified),
         }
@@ -232,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sto_p.add_argument("--delta", type=float, default=None)
     sto_p.add_argument("--max-candidates", type=int, default=None)
     sto_p.add_argument("--jobs", type=int, default=None)
-    sto_p.add_argument("--seed", type=int, default=0)
     sto_p.add_argument("--out", default=None)
     sto_p.set_defaults(func=_cmd_stochastic)
     return parser

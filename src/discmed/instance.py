@@ -495,7 +495,7 @@ def generate(
     elif kind == "knapsack":
         w = {f: float(np.round(rng.uniform(1.0, 5.0), 3)) for f in fids}
         lo, hi = min(w.values()), sum(w.values())
-        budget = float(np.round(rng.uniform(lo, 0.6 * hi), 3))
+        budget = float(np.round(rng.uniform(lo, max(lo, 0.6 * hi)), 3))  # one facility: lo == hi
         constraint = Knapsack(w, budget)
     else:
         raise InstanceError(f"generate: unknown constraint kind {kind!r}")
@@ -634,8 +634,3 @@ def dump(inst: Instance, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(to_json(inst), fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def load(path: str) -> Instance:
-    with open(path) as fh:
-        return from_json(json.load(fh))

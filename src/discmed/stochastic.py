@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .instance import (
     Instance,
     InstanceError,
@@ -32,7 +30,6 @@ from .instance import (
 from .iterround import aux_lp_memo
 from .knapsack import solve
 
-EXACT_OUTCOME_GUARD = 1_000_000
 SWEEP_STEP_GUARD = 10_000  # sweep steps, about log(diameter) / -log(1 - epsilon)
 # knapsack options of the sweep's solves; rho and delta keep the solver's defaults
 SWEEP_KNAPSACK_OPTIONS = {"epsilon": 0.25}
@@ -80,55 +77,35 @@ def realization_probs(stoch: StochasticInstance) -> dict[str, float]:
     return {j: 1.0 - m for j, m in miss.items()}
 
 
-def realization_space_size(stoch: StochasticInstance) -> int:
-    size = 1
-    for pt in stoch.points:
-        support = sum(1 for q in pt.dist.values() if q > 0)
-        size *= support + (1 if pt.none_probability() > 0 else 0)
-    return size
+def eval_expected_max(stoch: StochasticInstance, chosen) -> float:
+    """Exact expected max distance of realized points to ``chosen``.
 
-
-def eval_expected_max(stoch: StochasticInstance, chosen, mode="exact") -> float:
-    """Expected max distance of realized points to ``chosen``.
-
-    mode is "exact" (full product-space enumeration, guarded) or a tuple
-    ("montecarlo", n_samples, seed) for a deterministic empirical mean.
+    A DP over the points whose state is the running maximum, which is always
+    one of the distinct distances to ``chosen``: it costs points x (clients + 1)
+    x (support + 1), however many realization outcomes there are.
     """
     base = stoch.base
     chosen = sorted(set(chosen))
     if not chosen:
         raise InstanceError("eval_expected_max: empty facility set")
+    stray = set(chosen) - set(base.facilities)
+    if stray:
+        raise InstanceError(f"eval_expected_max: unknown facilities {sorted(stray)}")
     rows = [base.fac_pos[f] for f in chosen]
     nearest = {j: float(base.dist_fc[rows, base.cli_pos[j]].min()) for j in base.clients}
-    if mode == "exact":
-        if realization_space_size(stoch) > EXACT_OUTCOME_GUARD:
-            raise InstanceError("realization space too large for exact evaluation")
-        dist = {0.0: 1.0}  # distribution of the running maximum
-        for pt in stoch.points:
-            none_p = pt.none_probability()
-            nxt: dict[float, float] = {}
-            for cur, prob in dist.items():
-                if none_p > 0:
-                    nxt[cur] = nxt.get(cur, 0.0) + prob * none_p
-                for loc, q in sorted(pt.dist.items()):
-                    if q > 0:
-                        m = max(cur, nearest[loc])
-                        nxt[m] = nxt.get(m, 0.0) + prob * q
-            dist = nxt
-        return float(sum(m * p for m, p in dist.items()))
-    kind, n_samples, seed = mode
-    if kind != "montecarlo":
-        raise InstanceError(f"unknown evaluation mode {mode!r}")
-    rng = seeded_rng(seed)
-    best = np.zeros(n_samples)
+    dist = {0.0: 1.0}  # distribution of the running maximum
     for pt in stoch.points:
-        locs = sorted(pt.dist)
-        probs = np.array([pt.dist[loc] for loc in locs] + [pt.none_probability()])
-        probs = probs / probs.sum()
-        vals = np.array([nearest[loc] for loc in locs] + [0.0])
-        draw = rng.choice(len(probs), size=n_samples, p=probs)
-        best = np.maximum(best, vals[draw])
-    return float(best.mean())
+        none_p = pt.none_probability()
+        nxt: dict[float, float] = {}
+        for cur, prob in dist.items():
+            if none_p > 0:
+                nxt[cur] = nxt.get(cur, 0.0) + prob * none_p
+            for loc, q in sorted(pt.dist.items()):
+                if q > 0:
+                    m = max(cur, nearest[loc])
+                    nxt[m] = nxt.get(m, 0.0) + prob * q
+        dist = nxt
+    return float(sum(m * p for m, p in dist.items()))
 
 
 @dataclass
@@ -148,7 +125,7 @@ class StochasticReport:
     guarantee_constant: float
     flagged: bool
     sweep: list[SweepStep]
-    expected_max: float | None
+    expected_max: float
 
     def to_json(self) -> dict:
         return {
@@ -177,7 +154,7 @@ def solve_stochastic_center(
     T >= 1 (the normalized minimum distance), with a final T = 0 fallback;
     an epsilon that would take more than SWEEP_STEP_GUARD steps is refused.
     The returned set is the output at the smallest T passing the beta*T test,
-    and E[max] <= (alpha + beta) * T_star is evaluated exactly when feasible.
+    and its E[max], to certify against (alpha + beta) * T_star, is exact.
     Each step calls ``solve`` with ``tau`` (None: the family's default) and
     ``knap_options``; a knapsack base starts from SWEEP_KNAPSACK_OPTIONS.
     The steps share one ``aux_lp_memo``, so the sweep solves each distinct
@@ -231,9 +208,6 @@ def solve_stochastic_center(
     if best is None:
         raise InstanceError("the sweep acceptance test failed at the diameter")
 
-    expected = None
-    if realization_space_size(stoch) <= EXACT_OUTCOME_GUARD:
-        expected = eval_expected_max(stoch, best.solution, mode="exact")
     report = StochasticReport(
         tau=rep.tau,
         t_star=best.T,
@@ -242,7 +216,7 @@ def solve_stochastic_center(
         guarantee_constant=3.0 * (1.0 + 2.0 * epsilon) * (alpha + beta),
         flagged=flagged,
         sweep=sweep,
-        expected_max=expected,
+        expected_max=eval_expected_max(stoch, best.solution),
     )
     return best.solution, report
 

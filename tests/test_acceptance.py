@@ -304,7 +304,7 @@ def test_criterion_7_stochastic_center():
         assert all(len(pt.dist) <= 3 for pt in st.points)
         S, rep = solve_stochastic_center(st, tau=1.985, epsilon=eps)
         opt = brute_stochastic_opt(st)
-        val = eval_expected_max(st, S, mode="exact")
+        val = eval_expected_max(st, S)
         bound = 3 * (1 + 2 * eps) * (a1 + b1) * opt.value
         assert val <= bound + 1e-9, (seed, val, bound)
         if opt.value > 0:
@@ -330,7 +330,7 @@ def test_criterion_7_stochastic_center():
             knap_options=dict(rho=rho, delta=2.0 / 3.0, epsilon=keps),
         )
         opt = brute_stochastic_opt(st)
-        val = eval_expected_max(st, S, mode="exact")
+        val = eval_expected_max(st, S)
         assert val <= 3 * (1 + 2 * eps) * (a2 + b2) * opt.value + 1e-9, seed
 
     # Bernoulli max property behind the sweep threshold argument

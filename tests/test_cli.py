@@ -7,6 +7,7 @@ import pytest
 from discmed import lpcore, stochastic
 from discmed.cli import main
 from discmed.instance import dump, generate, to_json
+from discmed.oracle import exact_expected_max
 from discmed.stochastic import generate_stochastic, stochastic_to_json
 
 
@@ -99,12 +100,13 @@ class TestGen:
 
     def test_kinds(self, tmp_path):
         for kind in ("cardinality", "uniform", "partition", "explicit", "knapsack"):
-            out = tmp_path / f"{kind}.json"
-            assert run_cli(
-                "gen", "--facilities", "4", "--clients", "4",
-                "--kind", kind, "--seed", "1", "--out", str(out),
-            ) == 0
-            assert out.exists()
+            for facilities in ("1", "4"):
+                out = tmp_path / f"{kind}{facilities}.json"
+                assert run_cli(
+                    "gen", "--facilities", facilities, "--clients", "4",
+                    "--kind", kind, "--seed", "1", "--out", str(out),
+                ) == 0
+                assert out.exists()
 
     def test_negative_seed_exits_1_in_one_line(self, capsys):
         assert run_cli("gen", "--facilities", "2", "--clients", "2", "--seed", "-1") == 1
@@ -423,6 +425,10 @@ class TestSolveVerify:
             pytest.param(("solve", "{inst}", "--step", "3"), "invalid choice", id="step-3"),
             pytest.param(("solve", "{inst}", "--tau", "x"), "invalid float value", id="tau-text"),
             pytest.param(("solve", "{inst}", "--seed", "1"), "unrecognized arguments", id="solve-seed"),
+            pytest.param(
+                ("stochastic", "{inst}", "--seed", "1"), "unrecognized arguments",
+                id="stochastic-seed",
+            ),
             pytest.param(("solve",), "required: instance", id="missing-path"),
             pytest.param(("solve", "{missing}"), "cannot read", id="unreadable-path"),
             pytest.param((), "required: command", id="no-command"),
@@ -524,31 +530,18 @@ class TestStochasticCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: epsilon=1e-05 makes the sweep") and err.count("\n") == 1
 
-    def test_negative_seed_exits_1_before_the_sweep(self, tmp_path, capsys, monkeypatch):
-        # the seed is read only by the Monte-Carlo fallback, after the sweep
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a sweep step ran")
-
-        monkeypatch.setattr(stochastic, "solve", no_solve)
-        inst_path = tmp_path / "st.json"
-        inst_path.write_text(json.dumps(stochastic_to_json(generate_stochastic(4, 3, seed=2))))
-        assert run_cli("stochastic", str(inst_path), "--seed", "-1") == 1
-        err = capsys.readouterr().err
-        assert err == "error: seed must be a non-negative integer, got -1\n"
-
-    def test_guarded_exact_evaluation_falls_back_to_montecarlo(self, tmp_path, monkeypatch):
-        # the solver alone decides exact vs Monte-Carlo; the CLI follows its report
-        monkeypatch.setattr(stochastic, "EXACT_OUTCOME_GUARD", 0)
-        st = generate_stochastic(4, 3, kind="cardinality", seed=2)
+    def test_many_outcomes_evaluate_exactly(self, tmp_path):
+        # 2,519,424 realization outcomes: the expected max is still exact
+        st = generate_stochastic(3, 16, kind="cardinality", seed=2, n_clients=17)
         inst_path = tmp_path / "st.json"
         rep_path = tmp_path / "rep.json"
         inst_path.write_text(json.dumps(stochastic_to_json(st)))
-        code = run_cli(
-            "stochastic", str(inst_path), "--tau", "1.91",
-            "--epsilon", "0.2", "--out", str(rep_path),
-        )
+        code = run_cli("stochastic", str(inst_path), "--epsilon", "0.3", "--out", str(rep_path))
         rep = strict_json(rep_path)
-        assert rep["expectedMaxMode"] == "montecarlo"
+        assert rep["expectedMax"] == pytest.approx(
+            exact_expected_max(st, rep["solution"]), rel=1e-12, abs=0.0
+        )
+        assert "expectedMaxMode" not in rep
         cert = rep["certificates"][0]
-        assert isinstance(cert["lhs"], float) and cert["lhs"] == rep["expectedMax"]
+        assert cert["lhs"] == rep["expectedMax"]
         assert cert["holds"] and code == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from discmed import instance as I
+from discmed.stochastic import generate_stochastic, validate_stochastic
 
 from .helpers import recompute_discounted_cost
 
@@ -211,6 +212,13 @@ class TestGenerate:
     def test_zero_discount_scale(self):
         inst = I.generate(4, 6, discount_scale=0.0, seed=1)
         assert all(v == 0.0 for v in inst.discounts.values())
+
+    @pytest.mark.parametrize("kind", ["cardinality", "uniform", "partition", "explicit", "knapsack"])
+    def test_one_facility(self, kind):
+        inst = I.generate(1, 3, kind=kind, seed=4)
+        assert I.validate(inst) == []
+        st = generate_stochastic(1, 3, kind=kind, seed=4)
+        assert validate_stochastic(st) == []
 
     def test_counts_must_be_positive(self):
         with pytest.raises(I.InstanceError):

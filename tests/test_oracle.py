@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -136,21 +137,22 @@ class TestBruteStochasticOpt:
         st = StochasticInstance(base, (StochasticPoint("v0", {base.clients[0]: 0.0}),))
         assert brute_stochastic_opt(st).value == 0.0
 
-    def test_monte_carlo_agrees_on_top_sets(self):
-        st = generate_stochastic(3, 4, kind="uniform", seed=6)
-        vals = {}
-        for f in st.base.facilities:
-            vals[f] = exact_expected_max(st, [f])
-        mc = {
-            f: eval_expected_max(st, [f], mode=("montecarlo", 100_000, 11))
-            for f in st.base.facilities
-        }
-        exact_rank = sorted(vals, key=lambda f: vals[f])
-        mc_rank = sorted(mc, key=lambda f: mc[f])
-        # sampling noise must not flip clearly separated candidates
-        for a, b in zip(exact_rank, mc_rank):
-            if a != b:
-                assert abs(vals[a] - vals[b]) < 0.05
+    def test_exact_evaluation_matches_oracle(self):
+        # every 1- and 2-set, on instances up to far more outcomes than can be enumerated
+        largest = 0
+        for n_pts in range(2, 41, 2):
+            st = generate_stochastic(4, n_pts, kind="uniform", seed=n_pts)
+            outcomes = math.prod(
+                sum(q > 0 for q in pt.dist.values()) + (pt.none_probability() > 0)
+                for pt in st.points
+            )
+            largest = max(largest, outcomes)
+            for s in (1, 2):
+                for S in itertools.combinations(st.base.facilities, s):
+                    assert eval_expected_max(st, S) == pytest.approx(
+                        exact_expected_max(st, S), rel=1e-12, abs=0.0
+                    ), (n_pts, S)
+        assert largest > 10**6
 
 
 class TestCheckBicriteria:
