@@ -119,7 +119,9 @@ def brute_opt(inst: Instance) -> OracleResult:
 
 
 def exact_expected_max(stoch, chosen: Iterable[str]) -> float:
-    """E[max over realized points of distance-to-chosen], by full enumeration."""
+    """E[max over realized points of distance-to-chosen], exactly: a DP over
+    the points that carries the distribution of the running maximum, whose
+    values are 0 and the clients' nearest distances."""
     base = stoch.base
     rows = [base.fac_pos[f] for f in sorted(set(chosen))]
     nearest = {
@@ -142,21 +144,21 @@ def exact_expected_max(stoch, chosen: Iterable[str]) -> float:
     return float(sum(m * p for m, p in outcomes))
 
 
-def realization_space_size(stoch) -> int:
-    size = 1
-    for point in stoch.points:
-        support = sum(1 for p in point.dist.values() if p > 0)
-        none_p = 1.0 - sum(point.dist.values())
-        size *= support + (1 if none_p > 0 else 0)
-    return size
-
-
 def brute_stochastic_opt(stoch) -> OracleResult:
-    """Exact optimum of the expected-max objective over feasible sets."""
+    """Exact optimum of the expected-max objective over feasible sets.
+
+    The guard counts the updates of ``exact_expected_max``'s DP: per set and
+    point, at most clients + 1 running maxima, each updated once per location
+    of positive probability and once more for no location.
+    """
     count = count_feasible_sets(stoch.base)
-    work = count * realization_space_size(stoch)
+    steps = sum(
+        (len(stoch.base.clients) + 1) * (sum(p > 0 for p in point.dist.values()) + 1)
+        for point in stoch.points
+    )
+    work = count * steps
     if work > ENUMERATION_GUARD:
-        raise GuardExceeded(f"{work} set/realization pairs exceed the guard")
+        raise GuardExceeded(f"{work} set/DP-update pairs exceed the {ENUMERATION_GUARD} guard")
     best: tuple[str, ...] | None = None
     best_val = math.inf
     n_seen = 0

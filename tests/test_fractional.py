@@ -130,7 +130,7 @@ class TestDistanceOptimal:
         dists=st.lists(st.floats(min_value=1.0, max_value=50.0), min_size=2, max_size=6),
         openings=st.data(),
     )
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     def test_water_fill_invariants(self, dists, openings):
         # one client, arbitrary facility distances and openings with mass >= 1
         nf = len(dists)

@@ -1,14 +1,15 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discmed import fractional, generate, iterround, knapsack, lpcore
+from discmed import fractional, generate, iterround, knapsack, lpcore, stochastic
 from discmed.fractional import build_natural_lp, solve_natural
 from discmed.knapsack import ExtendedInstance
-from discmed.lpcore import InfeasibleLP, LinearProgram, LPError, solve
+from discmed.lpcore import InfeasibleLP, LinearProgram, LPError, UnboundedLP, solve
 
 from .helpers import (
     add_dense_row,
@@ -22,6 +23,19 @@ try:
     from scipy.optimize import linprog  # test-only yardstick; never a runtime dependency
 except ImportError:
     linprog = None
+
+# the largest tableau each form is given: every tableau an array, or every
+# tableau row lists; ``solve`` picks by size, these tests pick the form, and
+# those that match a message or patch a hook run on both
+FORMS = {"arrays": -1, "lists": math.inf}
+
+
+def solver(form: str):
+    """``solve`` with every tableau in ``form``."""
+    return lambda lp, start=None: lpcore._solve(lp, start, FORMS[form])
+
+
+FORM_SOLVES = [solver(form) for form in sorted(FORMS)]
 
 
 def test_single_variable_lower_bound():
@@ -55,8 +69,9 @@ def test_infeasible_detected():
         r"phase-1 optimum is positive \(1\): the artificial of row 0 \(<=\) stays basic at 1 "
         r"on a 2x4 tableau"
     )
-    with pytest.raises(InfeasibleLP, match=message):
-        solve(lp)
+    for solve in FORM_SOLVES:
+        with pytest.raises(InfeasibleLP, match=message):
+            solve(lp)
 
 
 def test_infeasible_names_the_row_owning_the_largest_artificial():
@@ -76,8 +91,9 @@ def test_infeasible_names_the_row_owning_the_largest_artificial():
         r"phase-1 optimum is positive \(0\.662\): the artificial of row 0 \(=\) stays basic "
         r"at 0\.662 on a 8x13 tableau$"
     )
-    with pytest.raises(InfeasibleLP, match=message):
-        solve(lp)
+    for solve in FORM_SOLVES:
+        with pytest.raises(InfeasibleLP, match=message):
+            solve(lp)
 
 
 def test_matches_vertex_enumeration_on_random_lps():
@@ -161,8 +177,9 @@ def test_certificate_count_error_names_tableau_and_dropped_rows(monkeypatch):
     lp.add_row({0: 1.0, 1: 1.0}, "=", 2.0)
     lp.add_row({0: 2.0, 1: 2.0}, "=", 4.0)
     message = r"basis certificate has 3 conditions for 2 variables on a 2x4 tableau$"
-    with pytest.raises(LPError, match=message):
-        solve(lp)
+    for solve in FORM_SOLVES:
+        with pytest.raises(LPError, match=message):
+            solve(lp)
 
 
 def test_fixed_variable_bounds():
@@ -246,6 +263,17 @@ def pivot_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_pivot_matches_the_dense_update(case):
     T0, row, col = case
+    T = T0.copy()
+    lpcore._pivot(T, row, col)
+    assert_dense_pivot(T0, row, col, T)
+    rows = T0.tolist()
+    lpcore._pivot_rows(rows, row, col)
+    assert_dense_pivot(T0, row, col, np.array(rows))
+
+
+def assert_dense_pivot(T0, row, col, T):
+    """``T`` is ``T0`` pivoted on (row, col) as a dense update does it, and
+    keeps the bits of every entry the block update leaves out."""
     assert abs(T0[row, col]) > lpcore.PIVOT_TOL
     prow = T0[row] / T0[row, col]
     colv = T0[:, col].copy()
@@ -253,8 +281,6 @@ def test_pivot_matches_the_dense_update(case):
     ref = T0.copy()
     ref[row] = prow
     ref -= np.outer(colv, prow)  # the independent dense reference
-    T = T0.copy()
-    lpcore._pivot(T, row, col)
 
     assert np.array_equal(T, ref)
     assert T[row].tobytes() == prow.tobytes()
@@ -324,21 +350,22 @@ def assert_certified(lp: LinearProgram, res) -> None:
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_degenerate_lps_return_certified_vertices(n, m, seed):
-    rng = np.random.default_rng(seed)
-    lp = degenerate_lp(rng, n, m)
-    try:
-        res = solve(lp)
-    except InfeasibleLP:
-        res = None
-    else:
-        assert_certified(lp, res)
-        start = random_start(rng, lp)
-        started, refused = solve_noting_refusal(lp, start)
-        if refused:
-            assert same_result(started, res)
+    for solve in FORM_SOLVES:
+        rng = np.random.default_rng(seed)
+        lp = degenerate_lp(rng, n, m)
+        try:
+            res = solve(lp)
+        except InfeasibleLP:
+            res = None
         else:
-            assert started.pivots[0] == 0
-            assert_certified(lp, started)
+            assert_certified(lp, res)
+            start = random_start(rng, lp)
+            started, refused = solve_noting_refusal(lp, start, solve)
+            if refused:
+                assert same_result(started, res)
+            else:
+                assert started.pivots[0] == 0
+                assert_certified(lp, started)
     if linprog is None:
         return
     ref = highs(lp)
@@ -353,7 +380,7 @@ def random_start(rng: np.random.Generator, lp: LinearProgram) -> np.ndarray:
     return np.where(rng.random(lp.n_vars) < 0.5, lp.lo, lp.hi)
 
 
-def solve_noting_refusal(lp: LinearProgram, start):
+def solve_noting_refusal(lp: LinearProgram, start, solve=solve):
     """``solve(lp, start)`` and whether the start was refused (a cold solve)."""
     tableau, setups = lpcore._tableau, []
 
@@ -375,6 +402,103 @@ def same_result(a, b) -> bool:
         and a.basis_certificate == b.basis_certificate
         and a.pivots == b.pivots
     )
+
+
+def parity_lp(rng: np.random.Generator, n: int, m: int) -> LinearProgram:
+    """Small LP of "=" and "<=" rows, some variables fixed, its rows through
+    an integer point or off it. One in four has coefficients of 1e10 and
+    2e-10 and costs of 1e4, which reach the unbounded exit and the audits."""
+    wild = rng.random() < 0.25
+    costs = [-1e4, -1.0, 0.0, 1.0, 1e4] if wild else [-2.0, -1.0, 0.0, 1.0, 3.0]
+    coeffs = [-1e10, -1.0, 0.0, 2e-10, 1.0, 1e10] if wild else [-2.0, -1.0, 0.0, 0.0, 1.0, 2.0]
+    lo = rng.choice([-1.0, 0.0], size=n)
+    hi = lo + rng.choice([0.0, 1.0, 2.0], size=n, p=[0.2, 0.5, 0.3])
+    lp = LinearProgram(n, objective=rng.choice(costs, size=n), lo=lo, hi=hi)
+    point = lo + rng.integers(0, hi - lo + 1)
+    for _ in range(m):
+        a = rng.choice(coeffs, size=n)
+        rhs = float(a @ point) + float(rng.choice([0.0, 0.0, 0.0, 1.0, -1.0]))
+        add_dense_row(lp, a, str(rng.choice(["=", "<="])), rhs)
+    return lp
+
+
+def outcome(solve, lp: LinearProgram, start=None):
+    """The bits ``solve`` returns, or the type and message of what it raises."""
+    try:
+        res = solve(lp, start)
+    except LPError as exc:
+        return type(exc), str(exc)
+    return res.values.tobytes(), float(res.objective_value).hex(), res.basis_certificate, res.pivots
+
+
+def forms_outcomes(lp: LinearProgram, start=None, pivot_limit=None) -> list:
+    """``outcome`` on each form, at ``pivot_limit`` pivots a phase when it is given."""
+    with pytest.MonkeyPatch.context() as mp:
+        if pivot_limit is not None:
+            mp.setattr(lpcore, "PIVOT_LIMIT", pivot_limit)
+        return [outcome(solve, lp, start) for solve in FORM_SOLVES]
+
+
+# the two examples reach the unbounded exit and the pivot limit; draws also
+# end infeasible, fail an audit or have their start refused
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=0, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pivot_limit=st.sampled_from([None, None, 0, 1, 3]),
+)
+@example(n=3, m=4, seed=3, pivot_limit=None)
+@example(n=3, m=4, seed=0, pivot_limit=1)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_forms_agree_bit_for_bit(n, m, seed, pivot_limit):
+    rng = np.random.default_rng(seed)
+    lp = parity_lp(rng, n, m)
+    start = random_start(rng, lp) if rng.random() < 0.5 else None
+    arrays, lists = forms_outcomes(lp, start, pivot_limit)
+    assert arrays == lists
+    if (n, m, seed) == (3, 4, 3):
+        assert arrays == (UnboundedLP, "objective unbounded below")
+    elif (n, m, seed, pivot_limit) == (3, 4, 0, 1):
+        assert arrays[0] is LPError and arrays[1].startswith("pivot limit exceeded")
+
+
+def solved_lps(run) -> list:
+    """Every natural and auxiliary LP ``run`` solves, with its start."""
+    seen = []
+
+    def recording_solve(lp, start=None):
+        seen.append((lp, None if start is None else np.array(start)))
+        return solve(lp, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractional, "solve", recording_solve)
+        mp.setattr(iterround, "solve", recording_solve)
+        run()
+    return seen
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: iterround.solve_kmeddis(generate(4, 8, kind="cardinality", seed=1), tau=1.91),
+        lambda: iterround.solve_matmeddis(generate(4, 8, kind="partition", seed=1), tau=2.36),
+        lambda: knapsack.solve_knapmeddis(
+            generate(2, 2, kind="knapsack", discount_scale=0.4, seed=1),
+            tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25,
+        ),
+        lambda: stochastic.solve_stochastic_center(
+            stochastic.generate_stochastic(4, 3, kind="cardinality", seed=1),
+            tau=1.91, epsilon=0.2,
+        ),
+    ],
+    ids=["cardinality", "partition", "knapsack", "stochastic-sweep"],
+)
+def test_forms_agree_on_every_lp_of_a_solve(run):
+    lps = solved_lps(run)
+    assert len(lps) > 1
+    for lp, start in lps:
+        arrays, lists = forms_outcomes(lp, start)
+        assert arrays == lists
 
 
 def solve_noting_left_out(lp: LinearProgram):
@@ -494,26 +618,29 @@ def two_row_lp(rel0: str, rel1: str, row1=(-1.0, -1.0)) -> LinearProgram:
 )
 def test_unusable_start_solves_cold(rels, row1, start):
     lp = two_row_lp(*rels, row1=row1)
-    cold = solve(lp)
-    assert cold.pivots[0] > 0  # row 0 or row 1 needs an artificial, so phase 1 runs
-    res, refused = solve_noting_refusal(lp, np.array(start))
-    assert refused and same_result(res, cold)
+    for solve in FORM_SOLVES:
+        cold = solve(lp)
+        assert cold.pivots[0] > 0  # row 0 or row 1 needs an artificial, so phase 1 runs
+        res, refused = solve_noting_refusal(lp, np.array(start), solve)
+        assert refused and same_result(res, cold)
 
 
 def test_ill_conditioned_start_solves_cold():
     # x = (1, 1) is feasible with x0 basic, but row 0 pivots on 1e-12
     lp = LinearProgram(2, objective=[-1.0, -2.0])
     lp.add_row({0: 1e-12, 1: 1.0}, "=", 1.0)
-    res, refused = solve_noting_refusal(lp, np.array([1.0, 1.0]))
-    assert refused and same_result(res, solve(lp))
+    for solve in FORM_SOLVES:
+        res, refused = solve_noting_refusal(lp, np.array([1.0, 1.0]), solve)
+        assert refused and same_result(res, solve(lp))
 
 
 @pytest.mark.parametrize("start", [[1.0, 0.0], [1.0], [1.0, 0.0, 0.0, 1.0]], ids=len)
 def test_start_of_another_length_is_an_lp_error(start):
     lp = LinearProgram(3, objective=[-1.0, -2.0, 0.0])
     lp.add_row({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 1.0)
-    with pytest.raises(LPError, match=rf"^start has {len(start)} values for 3 variables$"):
-        solve(lp, np.array(start))
+    for solve in FORM_SOLVES:
+        with pytest.raises(LPError, match=rf"^start has {len(start)} values for 3 variables$"):
+            solve(lp, np.array(start))
 
 
 def natural_lp_solved(inst):
@@ -626,8 +753,9 @@ def test_pivot_limit_names_phase_and_tableau(monkeypatch, sign, message):
     monkeypatch.setattr(lpcore, "PIVOT_LIMIT", 0)
     lp = LinearProgram(2, objective=[-1.0, -1.0])
     lp.add_row({0: sign, 1: sign}, "<=", sign)  # x0 + x1 >= 1, or x0 + x1 <= 1
-    with pytest.raises(LPError, match=message):
-        solve(lp)
+    for solve in FORM_SOLVES:
+        with pytest.raises(LPError, match=message):
+            solve(lp)
 
 
 def test_bound_audit_names_the_variable(monkeypatch):
@@ -636,8 +764,9 @@ def test_bound_audit_names_the_variable(monkeypatch):
     monkeypatch.setattr(lpcore, "FEAS_TOL", -1.0)
     lp = LinearProgram(2, objective=[1.0, 1.0], lo=[0.25, 0.0], hi=[1.0, 1.0])
     message = r"post-hoc bound check failed: x\[0\] = 0.25 outside \[0.25, 1.0\]"
-    with pytest.raises(LPError, match=message):
-        solve(lp)
+    for solve in FORM_SOLVES:
+        with pytest.raises(LPError, match=message):
+            solve(lp)
 
 
 def test_row_audit_names_the_first_failing_row(monkeypatch):
@@ -655,8 +784,9 @@ def test_row_audit_names_the_first_failing_row(monkeypatch):
     lp.add_row({0: 1.0, 1: 1.0}, "<=", 1.5)
     lp.add_row({0: 1.0}, "=", 0.5)
     lp.add_row({0: 1.0}, "<=", 0.75)
-    with pytest.raises(LPError, match=r"post-hoc feasibility failed on row 1: residual 0.5$"):
-        solve(lp, np.array([1.0, 0.0]))
+    for solve in FORM_SOLVES:
+        with pytest.raises(LPError, match=r"post-hoc feasibility failed on row 1: residual 0.5$"):
+            solve(lp, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("rel", [">=", "<", "=="])
@@ -676,6 +806,14 @@ def lp_with_row(coeffs: dict) -> LinearProgram:
     return lp
 
 
+def lp_with_rhs(rhs: float) -> LinearProgram:
+    """x0 <= 1 (row 0) and x0 + x1 <= ``rhs`` (row 1) over two variables."""
+    lp = LinearProgram(2, objective=[1.0, 1.0])
+    lp.add_row({0: 1.0}, "<=", 1.0)
+    lp.add_row({0: 1.0, 1: 1.0}, "<=", rhs)
+    return lp
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -686,15 +824,25 @@ def lp_with_row(coeffs: dict) -> LinearProgram:
         (lambda: LinearProgram(3, hi=np.ones(4)), "hi has 4 values for 3 variables"),
         (lambda: LinearProgram(2, objective=[np.nan, 1.0]), "objective entry 0 is nan, not finite"),
         (lambda: LinearProgram(2, objective=[1, -np.inf]), "objective entry 1 is -inf, not finite"),
+        (lambda: lp_with_row({0: 1.0, 1: np.nan}),
+         r"row 1 coefficient of variable 1 is nan, not finite"),
+        (lambda: lp_with_row({0: np.inf}), r"row 1 coefficient of variable 0 is inf, not finite"),
+        (lambda: lp_with_row({1: -np.inf}),
+         r"row 1 coefficient of variable 1 is -inf, not finite"),
+        (lambda: lp_with_rhs(np.nan), r"row 1 right-hand side is nan, not finite"),
+        (lambda: lp_with_rhs(-np.inf), r"row 1 right-hand side is -inf, not finite"),
+        (lambda: lp_with_rhs(np.inf), r"row 1 right-hand side is inf, not finite"),
     ],
     ids=[
         "negative-variable", "variable-past-the-end", "short-objective", "short-lo", "long-hi",
-        "nan-objective", "infinite-objective",
+        "nan-objective", "infinite-objective", "nan-coefficient", "infinite-coefficient",
+        "negative-infinite-coefficient", "nan-rhs", "negative-infinite-rhs", "infinite-rhs",
     ],
 )
 def test_malformed_lp_is_an_lp_error(build, message):
-    with pytest.raises(LPError, match=f"^{message}$"):
-        solve(build())
+    for solve in FORM_SOLVES:
+        with pytest.raises(LPError, match=f"^{message}$"):
+            solve(build())
 
 
 def _aux_lps(monkeypatch, run) -> tuple[str, str, int]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from discmed import instance as I
+from discmed import oracle
 from discmed.instance import Knapsack, generate
 from discmed.oracle import (
     GuardExceeded,
@@ -13,6 +14,7 @@ from discmed.oracle import (
     check_bicriteria,
     count_feasible_sets,
     exact_expected_max,
+    feasible_sets,
 )
 from discmed.stochastic import StochasticInstance, StochasticPoint, eval_expected_max, generate_stochastic
 
@@ -153,6 +155,18 @@ class TestBruteStochasticOpt:
                         exact_expected_max(st, S), rel=1e-12, abs=0.0
                     ), (n_pts, S)
         assert largest > 10**6
+
+    def test_guard_counts_dp_updates_not_outcomes(self, monkeypatch):
+        # 6 sets x 2,519,424 outcomes, yet exact_expected_max's DP makes
+        # 6 x 18 x 41 = 4,428 updates: 17 clients + 1 running maxima, and
+        # 16 points of 1 or 2 locations, each with a chance of none
+        st = generate_stochastic(3, 16, kind="cardinality", seed=2, n_clients=17)
+        res = brute_stochastic_opt(st)
+        assert res.enumerated == count_feasible_sets(st.base) == 6
+        assert res.value == min(exact_expected_max(st, S) for S in feasible_sets(st.base))
+        monkeypatch.setattr(oracle, "ENUMERATION_GUARD", 4427)
+        with pytest.raises(GuardExceeded, match=r"^4428 set/DP-update pairs exceed the 4427 guard$"):
+            brute_stochastic_opt(st)
 
 
 class TestCheckBicriteria:
