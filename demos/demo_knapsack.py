@@ -35,7 +35,7 @@ rep = solve_knapmeddis(inst, tau=tau, rho=rho, delta=delta, epsilon=eps)
 print(f"\nsolved in {time.time() - t0:.1f}s; "
       f"{rep.extras['evaluated']} extended instances evaluated, "
       f"{rep.extras['feasible']} feasible, {rep.extras['reused']} of them "
-      "reusing the rounding of the task above them in their chain")
+      "settled with no LP solve by the vertex of the task above them in their chain")
 
 print(f"opened {rep.solution} (weight {sum(weights[f] for f in rep.solution):.2f})")
 print(f"alpha'' = {rep.alpha:.4f}; EST coefficient = {rep.extras['estCoefficient']:.3f}")

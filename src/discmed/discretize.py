@@ -44,10 +44,6 @@ class DiscretizedMetric:
         level = n if abs(t - n) <= LOG_SNAP else math.ceil(t)
         return max(0, level)
 
-    def round_up(self, c: float) -> float:
-        """chat: c rounded up to the nearest level value."""
-        return self.level_value(self.level_of(c))
-
     def levels_array(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
         out = np.full(c.shape, -1, dtype=np.int64)

@@ -376,10 +376,6 @@ class SolveReport:
     initial_aux: float | None
     extras: dict = field(default_factory=dict)
 
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.certificates)
-
     def to_json(self) -> dict:
         return {
             "tau": self.tau,

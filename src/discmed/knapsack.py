@@ -45,7 +45,7 @@ from .iterround import (
     solve_kmeddis,
     solve_matmeddis,
 )
-from .lpcore import InfeasibleLP
+from .lpcore import FEAS_TOL, InfeasibleLP
 
 DEFAULT_MAX_CANDIDATES = 200_000
 
@@ -293,15 +293,21 @@ class KnapCandidate:
     # set by solve_knapmeddis: the cost is within the EST bound of one of the
     # task's estimates; diagnostic only, guaranteed for the witness EST alone
     meets_own_est_bound: bool = False
-    # the split and rounding came from the chain's memo, not a fresh run
+    # the task was settled by the chain's carried vertex, with no LP solve
     reused: bool = False
+    # the vertex and its rounding, carried to the chain's next task
+    rounding: _Rounding | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class _Rounding:
-    """The EST-free half of a task: the rounded set of its LP vertex's
-    star-balanced split, and what the EST checks read of that split."""
+    """The EST-free half of a task: its decoded LP vertex, the rounded set of
+    that vertex's star-balanced split at ``tau``, and what the EST checks read
+    of that split."""
 
+    x: np.ndarray
+    y: np.ndarray
+    tau: float
     solution: tuple[str, ...]
     t: int
     total_w: float
@@ -344,7 +350,7 @@ def _resolve_fractional(
 
 
 def solve_extended(
-    ext: ExtendedInstance, tau: float, memo: dict | None = None
+    ext: ExtendedInstance, tau: float, carry: KnapCandidate | None = None
 ) -> KnapCandidate | None:
     """Run the strengthened pipeline on one extended instance.
 
@@ -354,11 +360,15 @@ def solve_extended(
     the task's F0 and EST, if more than two coordinates stay fractional,
     which the basis structure rules out, or if the rounded set breaks the
     pre-selection or the budget. Only the LP, the star-cost cap and the
-    certificates read EST; the split and the rounding do not. ``memo`` is a
-    cache shared by tasks of one (F0, C') pair: it keeps the last rounding,
-    keyed by its vertex, and a task whose decoded vertex, objective and tau
-    match reuses it, redoing only the cap check and the certificates. The
-    result is the same with or without a memo.
+    certificates read EST; the split and the rounding do not.
+
+    ``carry`` is the candidate of a task of the same (F0, C') pair and tau
+    at an EST no lower, typically the chain's previous one. That task's LP
+    relaxes this one with the same objective, so its vertex, when feasible
+    here (``_carry_fits``), is an optimal vertex here too: the task then
+    reuses its rounding, redoes only the star-cap check and the
+    certificates, and builds and solves no LP. Otherwise, and without a
+    carry, the LP is built, solved and rounded.
     """
     inst = ext.base
     con = inst.constraint
@@ -367,24 +377,19 @@ def solve_extended(
         return None
     if not ext.f0 and not ext.cprime:
         return None
-    try:
-        frac_sol = solve_natural(inst, extended=ext)
-    except InfeasibleLP:
-        return None
-    U = frac_sol.objective_value
-
-    memo = {} if memo is None else memo
-    key = (frac_sol.x.tobytes(), frac_sol.y.tobytes(), float(U).hex(), tau)
-    rnd = memo.get(key)
-    reused = rnd is not None
+    reused = carry is not None and _carry_fits(ext, tau, carry)
     if reused:
+        rnd, U = carry.rounding, carry.lp_objective
         _check_star_cap(ext, rnd.worst_star, rnd.worst_fac)
     else:
+        try:
+            frac_sol = solve_natural(inst, extended=ext)
+        except InfeasibleLP:
+            return None
         rnd = _round_vertex(frac_sol, ext, tau)
         if rnd is None:
             return None
-        memo.clear()  # one entry: the chain's last vertex
-        memo[key] = rnd
+        U = frac_sol.objective_value
 
     certs = [
         Certificate("fractional_residual", float(rnd.t), 2.0, rnd.t <= 2),
@@ -406,7 +411,38 @@ def solve_extended(
         lp_objective=U,
         certificates=certs,
         reused=reused,
+        rounding=rnd,
     )
+
+
+def _carry_fits(ext: ExtendedInstance, tau: float, carry: KnapCandidate) -> bool:
+    """Whether ``carry``'s vertex is an optimal vertex of ``ext``'s LP.
+
+    The carry must come from the same (F0, C') pair, rho, delta and tau at an
+    EST no lower. Of the rows its vertex then meets already, only those that
+    read EST can fail, and they are checked with the tests and tolerances of
+    ``build_natural_lp`` and lpcore's audit: every support pair is within its
+    client's radius cap and, away from F0, under the rho*EST pair cap, and
+    every star row away from F0 holds within FEAS_TOL.
+    """
+    prev, rnd = carry.extended, carry.rounding
+    if not (
+        prev.base is ext.base
+        and (prev.f0, prev.cprime, prev.rho, prev.delta) == (ext.f0, ext.cprime, ext.rho, ext.delta)
+        and prev.est >= ext.est
+        and rnd.tau == tau
+    ):
+        return False
+    inst = ext.base
+    rho_est = ext.rho * ext.est
+    f0_pos = {inst.fac_pos[f] for f in ext.f0}
+    for fi, cj in zip(*rnd.x.nonzero()):
+        if inst.dist_fc[fi, cj] > ext.radius_cap(inst.clients[cj]):
+            return False
+        if fi not in f0_pos and inst.contrib[fi, cj] > rho_est + 1e-12:
+            return False
+    star = (inst.contrib * rnd.x).sum(axis=1) - rho_est * rnd.y
+    return all(s <= FEAS_TOL for fi, s in enumerate(star.tolist()) if fi not in f0_pos)
 
 
 def _check_star_cap(ext: ExtendedInstance, worst_star: float, worst_fac: str):
@@ -451,7 +487,10 @@ def _round_vertex(frac_sol, ext: ExtendedInstance, tau: float) -> _Rounding | No
     if closed is not None and far[closed]:
         closed_fac = bs.orig[closed]
         rerouted = tuple(j for j in ext.cprime if closed in state.B.get(j, ()))
-    return _Rounding(solution, t, total_w, cost, worst_star, worst_fac, closed_fac, rerouted)
+    return _Rounding(
+        frac_sol.x, frac_sol.y, tau, solution, t, total_w, cost, worst_star, worst_fac,
+        closed_fac, rerouted,
+    )
 
 
 def _reroute_certificates(ext: ExtendedInstance, rnd: _Rounding, tau: float) -> list[Certificate]:
@@ -585,12 +624,13 @@ def _solve_chain(chain: list[ExtendedInstance], tau: float) -> list[KnapCandidat
     term of each star row all relax. So once a task's relaxation is
     infeasible, so is every lower estimate's. The other causes of None, an
     over-budget F0 and an empty task, do not depend on EST at all; the last,
-    an empty rounded set, arose in no solve measured. The tasks share one memo.
+    an empty rounded set, arose in no solve measured. Each task is passed
+    the previous one's candidate as its carry, and a carried vertex that
+    still fits settles the task with no LP solve.
     """
-    memo: dict = {}
     out: list[KnapCandidate | None] = []
     for ext in chain:
-        out.append(solve_extended(ext, tau, memo))
+        out.append(solve_extended(ext, tau, out[-1] if out else None))
         if out[-1] is None:
             break
     return out
@@ -613,11 +653,12 @@ def solve_knapmeddis(
     skipped, which cannot exclude the certified witness pair. Each (F0, C')
     chain is solved from its largest estimate down and stops at its first
     infeasible task; ``extras["skipped"]`` counts the tasks it settled
-    without a solve. A task whose LP returns the vertex of the chain's last
-    rounded task reuses that task's split and rounding; ``extras["reused"]``
-    counts those tasks, all of them feasible. A missing entry of ``caps``
-    takes its theoretical value. The chains are spread over ``jobs`` worker
-    processes, never more than there are chains; with one, they run here.
+    without a solve. A task whose LP still admits the chain's carried
+    vertex, the last feasible task's, reuses that task's split and rounding
+    with no LP solve; ``extras["reused"]`` counts those tasks, all of them
+    feasible. A missing entry of ``caps`` takes its theoretical value. The
+    chains are spread over ``jobs`` worker processes, never more than there
+    are chains; with one, they run here.
     """
     if not isinstance(inst.constraint, Knapsack):
         raise InstanceError("solve_knapmeddis needs a knapsack constraint")

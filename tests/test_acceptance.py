@@ -243,7 +243,7 @@ def test_criterion_5_knapmeddis_pipeline():
         inst = generate(nf, nc, kind="knapsack", discount_scale=0.4, seed=seed)
         rep = solve_knapmeddis(inst, tau=tau, rho=rho, delta=delta, epsilon=eps)
         assert not rep.extras["capsBelowTheoretical"]
-        assert rep.all_hold, [c for c in rep.certificates if not c.holds]
+        assert all(c.holds for c in rep.certificates), [c for c in rep.certificates if not c.holds]
         w = inst.constraint.weights
         assert sum(w[f] for f in rep.solution) <= inst.constraint.budget + 1e-7
         for cand in rep.extras["candidates"]:

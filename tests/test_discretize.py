@@ -11,18 +11,18 @@ from discmed.discretize import DiscretizedMetric, choose_offset, discretization_
 class TestRoundUp:
     def test_colocation_stays_zero(self):
         dm = DiscretizedMetric(2.0, 0.3)
-        assert dm.round_up(0.0) == 0.0
+        assert dm.level_value(dm.level_of(0.0)) == 0.0
         assert dm.level_of(0.0) == -1
 
     def test_exact_boundary(self):
         dm = DiscretizedMetric(2.0, 0.0)
-        assert dm.round_up(1.0) == pytest.approx(1.0)
+        assert dm.level_value(dm.level_of(1.0)) == pytest.approx(1.0)
         assert dm.level_of(1.0) == 0
 
     def test_offset_pushes_to_next_level(self):
         dm = DiscretizedMetric(2.0, 0.5)
         # D_1 = 2^1.5 < 3 <= D_2 = 2^2.5
-        assert dm.round_up(3.0) == pytest.approx(2.0**2.5)
+        assert dm.level_value(dm.level_of(3.0)) == pytest.approx(2.0**2.5)
         assert dm.level_of(3.0) == 2
 
     def test_sentinel_levels(self):
@@ -38,17 +38,18 @@ class TestRoundUp:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_rounding_window(self, c, tau, b):
         dm = DiscretizedMetric(tau, b)
-        chat = dm.round_up(c)
+        chat = dm.level_value(dm.level_of(c))
         assert chat >= c * (1 - 1e-9)
         assert chat < tau * c * (1 + 1e-9)
 
     def test_array_agrees_with_scalar(self):
         dm = DiscretizedMetric(1.91, 0.37)
         cs = np.array([0.0, 1.0, 1.5, 2.0, 7.3, 40.0])
-        assert np.allclose(dm.round_up_array(cs), [dm.round_up(float(c)) for c in cs])
+        scalar = [dm.level_value(dm.level_of(float(c))) for c in cs]
+        assert np.allclose(dm.round_up_array(cs), scalar)
         assert list(dm.levels_array(cs)) == [dm.level_of(float(c)) for c in cs]
         values = dm.level_values(dm.levels_array(cs))
-        assert np.allclose(values, [dm.level_value(dm.level_of(float(c))) for c in cs])
+        assert np.allclose(values, scalar)
 
 
 def random_support(rng, n=12):
@@ -151,6 +152,6 @@ class TestUniformOffsetExpectation:
                 dm_vals = []
                 for b in bs:
                     dm = DiscretizedMetric(tau, float(b))
-                    dm_vals.append(max(dm.round_up(c) - tau * r, 0.0))
+                    dm_vals.append(max(dm.level_value(dm.level_of(c)) - tau * r, 0.0))
                 diffs = np.diff(dm_vals)
                 assert np.all(diffs >= -1e-9)

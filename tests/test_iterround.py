@@ -149,7 +149,7 @@ class TestIterRound:
             inst = generate(2 + seed % 6, 3 + seed % 8, kind="cardinality", seed=seed)
             rep = solve_kmeddis(inst, tau=1.91)  # snap_integral raises otherwise
             assert len(rep.solution) <= inst.constraint.k
-            assert rep.all_hold
+            assert all(c.holds for c in rep.certificates)
 
 
     def test_loop_error_names_iteration_and_client(self, monkeypatch):
@@ -269,7 +269,7 @@ class TestSolveMatMedDis:
         rep = solve_matmeddis(inst, tau=2.36)
         assert set(rep.solution) == solution
         assert cert(rep) == iterround.Certificate("independent_output", 1.0, 0.0, False)
-        assert not rep.all_hold
+        assert not all(c.holds for c in rep.certificates)
 
 
 def test_bicriteria_factor_formulas():

@@ -867,13 +867,13 @@ def _aux_lps(monkeypatch, run) -> tuple[str, str, int]:
 
 
 def _knapsack_rounding_every_task():
-    # a task that returns its chain's last vertex reuses that vertex's
+    # a task settled by its chain's carried vertex reuses that vertex's
     # rounding and solves no auxiliary LP; solving each task without the
-    # chain's memo rounds every feasible task, so the digest keeps covering
-    # all their LPs
+    # carry rounds every feasible task, so the digest keeps covering all
+    # their LPs
     solve_extended = knapsack.solve_extended
 
-    def fresh(ext, tau, memo=None):
+    def fresh(ext, tau, carry=None):
         return solve_extended(ext, tau)
 
     with pytest.MonkeyPatch.context() as mp:

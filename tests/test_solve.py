@@ -39,7 +39,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def assert_certified(inst, rep):
-    assert rep.all_hold, [c.name for c in rep.certificates if not c.holds]
+    assert all(c.holds for c in rep.certificates), [c.name for c in rep.certificates if not c.holds]
     assert tuple(sorted(rep.solution)) in {tuple(sorted(s)) for s in feasible_sets(inst)}
     verdict = check_bicriteria(inst, rep.solution, rep.alpha, rep.beta)
     assert verdict["holds"], verdict
