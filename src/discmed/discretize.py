@@ -49,18 +49,20 @@ class DiscretizedMetric:
         out = np.full(c.shape, -1, dtype=np.int64)
         pos = c > 0.0
         if pos.any():
-            t = np.log(c[pos]) / math.log(self.tau) - self.b
-            n = np.rint(t)
-            lev = np.where(np.abs(t - n) <= LOG_SNAP, n, np.ceil(t))
-            out[pos] = np.maximum(0, lev.astype(np.int64))
+            out[pos] = _levels(np.log(c[pos]) / math.log(self.tau), self.b)
         return out
 
     def level_values(self, lev: np.ndarray) -> np.ndarray:
         """D_level elementwise for levels from ``levels_array`` (-1 maps to 0)."""
         return np.where(lev < 0, 0.0, self.tau ** (lev + self.b))
 
-    def round_up_array(self, c: np.ndarray) -> np.ndarray:
-        return self.level_values(self.levels_array(c))
+
+def _levels(logs: np.ndarray, b) -> np.ndarray:
+    """``level_of`` of positive distances from their log_tau values, for an
+    offset ``b`` that broadcasts against them."""
+    t = logs - b
+    n = np.rint(t)
+    return np.maximum(0, np.where(np.abs(t - n) <= LOG_SNAP, n, np.ceil(t)).astype(np.int64))
 
 
 def discretization_ratio(tau: float) -> float:
@@ -86,20 +88,24 @@ def choose_offset(
     if np.any((c > 0) & (c < 1.0 - 1e-9)):
         raise ValueError("choose_offset requires a normalized metric (c >= 1 or 0)")
 
-    logs = np.zeros_like(c)
+    DiscretizedMetric(tau, 0.0)  # tau > 1
     pos = c > 0
-    logs[pos] = np.log(c[pos]) / math.log(tau)
-    frac = logs[pos] - np.floor(logs[pos])
+    logs = np.log(c[pos]) / math.log(tau)
+    frac = logs - np.floor(logs)
     frac = np.where(frac > 1.0 - LOG_SNAP, 0.0, frac)
-    cands = np.unique(np.concatenate([[0.0], frac]))
+    cands = np.unique(np.concatenate([[0.0], frac])).tolist()
 
+    # the rounded support at every candidate, a row each; D_level is taken
+    # row by row as level_values takes it and the other steps are exact, so
+    # each row is bit for bit that candidate's level_values(levels_array(c))
+    lev = np.full((len(cands), c.size), -1, dtype=np.int64)
+    lev[:, pos] = _levels(logs, np.array(cands)[:, None])
+    chat = np.where(lev < 0, 0.0, np.array([tau ** (row + b) for row, b in zip(lev, cands)]))
+    objs = np.sum(mass * np.maximum(chat - tau * r, 0.0), axis=1).tolist()
     best_b, best_obj = 0.0, math.inf
-    for b in cands:
-        dm = DiscretizedMetric(tau, float(b))
-        chat = dm.round_up_array(c)
-        obj = float(np.sum(mass * np.maximum(chat - tau * r, 0.0)))
+    for b, obj in zip(cands, objs):
         if obj < best_obj - 1e-15:
-            best_b, best_obj = float(b), obj
+            best_b, best_obj = b, obj
 
     bound = discretization_ratio(tau) * float(np.sum(mass * np.maximum(c - r, 0.0)))
     if best_obj > bound + 1e-6 * max(1.0, bound):

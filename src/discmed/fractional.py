@@ -8,8 +8,9 @@ The knapsack pipeline uses a star-cost-balanced variant of the splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -103,12 +104,69 @@ def family_rows(inst: Instance, orig) -> list[tuple[dict, str, float]]:
     raise InstanceError(f"unknown constraint family {type(con).__name__}")
 
 
+@dataclass(frozen=True)
+class PlainRows:
+    """The natural LP without ``extended`` and without its objective, and
+    the family rows over the facilities as ``greedy_open_set`` reads them.
+
+    None of it reads a discount or a weight: it depends on the facilities,
+    the clients and the constraint alone. Shared by every instance that
+    shares ``Instance.shared``: the LP's row lists are tuples and every array
+    is read-only.
+    """
+
+    lp: LinearProgram  # zero objective
+    x_index: MappingProxyType  # (facility pos, client pos) -> variable, client-major
+    family: np.ndarray  # family rows x facilities
+    family_rhs: np.ndarray
+
+
+def plain_rows(inst: Instance) -> PlainRows:
+    """``PlainRows`` of ``inst``, built once per ``inst.shared``."""
+    cached = inst.shared.get(PlainRows)
+    if cached is None:
+        nat = _natural_rows(inst, None)
+        lp = nat.lp
+        for values in (lp.lo, lp.hi):
+            values.flags.writeable = False
+        shared_lp = LinearProgram(
+            lp.n_vars, lo=lp.lo, hi=lp.hi, row_rel=tuple(lp.row_rel),
+            row_rhs=tuple(lp.row_rhs), entry_row=tuple(lp.entry_row),
+            entry_var=tuple(lp.entry_var), entry_coeff=tuple(lp.entry_coeff),
+        )
+        family = LinearProgram(len(inst.facilities))
+        for row in family_rows(inst, inst.facilities):
+            family.add_row(*row)
+        R, rhs = family.matrix(), np.array(family.row_rhs)
+        for values in (R, rhs):
+            values.flags.writeable = False
+        cached = inst.shared[PlainRows] = PlainRows(
+            shared_lp, MappingProxyType(nat.x_index), R, rhs
+        )
+    return cached
+
+
 def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
     """LP-k / matroid / knapsack relaxation; with ``extended`` the knapsack
     pre-selection, distance-cap, contribution-cap and star-cap rows are added
-    and capped-out x variables are eliminated rather than merely bounded."""
+    and capped-out x variables are eliminated rather than merely bounded.
+
+    Without ``extended`` the rows are ``plain_rows``, shared and read-only,
+    and only the objective is set here."""
+    if extended is None:
+        plain = plain_rows(inst)
+        objective = np.zeros(plain.lp.n_vars)
+        objective[len(inst.facilities) :] = inst.contrib.T.ravel()  # x_index is client-major
+        return NaturalLP(replace(plain.lp, objective=objective), plain.x_index)
+    nat = _natural_rows(inst, extended)
+    for (fi, cj), v in nat.x_index.items():
+        nat.lp.objective[v] = inst.contrib[fi, cj]
+    return nat
+
+
+def _natural_rows(inst: Instance, extended) -> NaturalLP:
+    """``build_natural_lp`` with a zero objective."""
     nf = len(inst.facilities)
-    contrib = inst.contrib
     if extended is None:
         cols = list(range(len(inst.clients)))
         f0_pos: set[int] = set()
@@ -116,6 +174,7 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
         cols = extended.cols
         f0_pos = {inst.fac_pos[f] for f in extended.f0}
         rho_est = extended.rho * extended.est
+        contrib = inst.contrib
 
     x_index: dict[tuple[int, int], int] = {}
     for cj in cols:
@@ -132,16 +191,11 @@ def build_natural_lp(inst: Instance, extended=None) -> NaturalLP:
             x_index[(fi, cj)] = nf + len(x_index)
 
     n_vars = nf + len(x_index)
-    objective = np.zeros(n_vars)
     lo = np.zeros(n_vars)
-    hi = np.ones(n_vars)
-    for (fi, cj), v in x_index.items():
-        objective[v] = contrib[fi, cj]
-    if extended is not None:
-        for fi in f0_pos:
-            lo[fi] = 1.0  # pre-selected facilities stay fully open
+    for fi in f0_pos:
+        lo[fi] = 1.0  # pre-selected facilities stay fully open
 
-    lp = LinearProgram(n_vars, objective=objective, lo=lo, hi=hi)
+    lp = LinearProgram(n_vars, lo=lo)
     for cj in cols:
         coeffs = {x_index[(fi, cj)]: 1.0 for fi in range(nf) if (fi, cj) in x_index}
         lp.add_row(coeffs, "=", 1.0)
@@ -173,7 +227,8 @@ def decode(nat: NaturalLP, inst: Instance, res: BasicOptimal) -> FractionalSolut
     y[np.abs(y) < SUPPORT_TOL] = 0.0
     np.clip(x, 0.0, 1.0, out=x)
     np.clip(y, 0.0, 1.0, out=y)
-    return FractionalSolution(x=x, y=y, objective_value=res.objective_value)
+    # every cost and bound is >= 0, so a negative optimum is rounding noise
+    return FractionalSolution(x=x, y=y, objective_value=max(0.0, res.objective_value))
 
 
 def greedy_open_set(inst: Instance) -> list[int]:
@@ -185,12 +240,9 @@ def greedy_open_set(inst: Instance) -> list[int]:
     no such addition lowers the cost (Jain, Mahdian and Saberi, STOC 2002).
     Empty when not even one facility fits.
     """
-    family = LinearProgram(len(inst.facilities))
-    for row in family_rows(inst, inst.facilities):
-        family.add_row(*row)
-    R = family.matrix()
-    rhs = np.array(family.row_rhs)
-    load = np.zeros(family.n_rows)
+    plain = plain_rows(inst)
+    R, rhs = plain.family, plain.family_rhs
+    load = np.zeros(len(rhs))
     nearest = np.full(len(inst.clients), np.inf)
     cost = np.inf
     chosen: list[int] = []

@@ -30,14 +30,21 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MetricSpace:
-    """Finite metric: ordered site ids plus a dense symmetric distance matrix."""
+    """Finite metric: ordered site ids plus a dense symmetric distance matrix.
+
+    ``dist`` is a read-only copy of the matrix passed in, so the verdict of
+    ``violations`` and the ``min_nonzero`` distance, each computed once per
+    object, cannot go stale; the caller's own array stays writable.
+    """
 
     points: tuple[str, ...]
     dist: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "dist", np.asarray(self.dist, dtype=float))
+        dist = np.array(self.dist, dtype=float)
+        dist.flags.writeable = False
+        object.__setattr__(self, "dist", dist)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -58,16 +65,25 @@ class MetricSpace:
         diff = xy[:, None, :] - xy[None, :, :]
         return MetricSpace(pts, np.sqrt((diff**2).sum(axis=2)))
 
+    @cached_property
+    def min_nonzero(self) -> float | None:
+        """The least positive distance; None when there is none."""
+        nz = self.dist[self.dist > 0]
+        return float(nz.min()) if nz.size else None
+
     def violations(self) -> list[str]:
         """Every metric-invariant violation, with the offending sites."""
-        out: list[str] = []
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
         n = len(self.points)
         d = self.dist
         if d.shape != (n, n):
-            return [f"distance matrix shape {d.shape} != ({n}, {n})"]
+            return (f"distance matrix shape {d.shape} != ({n}, {n})",)
         if not np.all(np.isfinite(d)):
-            out.append("non-finite distances present")
-            return out
+            return ("non-finite distances present",)
+        out: list[str] = []
         for i in range(n):
             if d[i, i] != 0.0:
                 out.append(f"dist({self.points[i]},{self.points[i]}) = {d[i, i]} != 0")
@@ -77,7 +93,7 @@ class MetricSpace:
         if np.any(d < 0):
             i, j = map(int, np.argwhere(d < 0)[0])
             out.append(f"negative distance at ({self.points[i]},{self.points[j]})")
-            return out
+            return tuple(out)
         # triangle inequality over all triples: d[i,j] <= d[i,k] + d[k,j], a
         # slab of rows i at a time so the temporary stays near TRIANGLE_SLAB
         seen = set()
@@ -101,7 +117,7 @@ class MetricSpace:
                     f"normalization violation: dist({self.points[i]},{self.points[j]}) = "
                     f"{d[i, j]:.6g} is neither 0 nor >= {MIN_SEPARATION}"
                 )
-        return out
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +323,29 @@ class Instance:
         object.__setattr__(self, "facilities", tuple(self.facilities))
         object.__setattr__(self, "clients", tuple(self.clients))
 
+    def with_discounts(self, discounts: dict[str, float]) -> "Instance":
+        """``replace(self, discounts=discounts)``, sharing this instance's
+        caches that read no discount: ``DISCOUNT_FREE``. The copy is checked
+        like any other instance: ``validate`` reads its own discounts."""
+        out = replace(self, discounts=discounts)
+        for name in DISCOUNT_FREE:
+            out.__dict__[name] = getattr(self, name)
+        return out
+
+    @cached_property
+    def shared(self) -> dict:
+        """Caches other modules derive from everything but the discounts,
+        each keyed by the type it stores; ``with_discounts`` passes it on."""
+        return {}
+
     @cached_property
     def dist_fc(self) -> np.ndarray:
-        """(n_facilities, n_clients) distance matrix."""
-        return self.metric.submatrix(self.facilities, self.clients)
+        """(n_facilities, n_clients) distance matrix, read-only."""
+        return _read_only(self.metric.submatrix(self.facilities, self.clients))
 
     @cached_property
     def dist_cc(self) -> np.ndarray:
-        return self.metric.submatrix(self.clients, self.clients)
+        return _read_only(self.metric.submatrix(self.clients, self.clients))
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -322,7 +353,7 @@ class Instance:
 
     @cached_property
     def w(self) -> np.ndarray:
-        return np.array([self.client_weights[j] for j in self.clients], dtype=float)
+        return _read_only(np.array([self.client_weights[j] for j in self.clients], dtype=float))
 
     @cached_property
     def contrib(self) -> np.ndarray:
@@ -336,6 +367,15 @@ class Instance:
     @cached_property
     def cli_pos(self) -> dict[str, int]:
         return {c: k for k, c in enumerate(self.clients)}
+
+
+# the Instance caches ``with_discounts`` shares with the copy it makes
+DISCOUNT_FREE = ("dist_fc", "dist_cc", "w", "fac_pos", "cli_pos", "shared")
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +452,11 @@ def normalize(inst: Instance) -> Instance:
     are unchanged; ``scale`` records the cumulative factor so reported
     objectives can be expressed in original units.
     """
-    d = inst.metric.dist
-    nz = d[d > 0]
-    if nz.size == 0:
-        return inst
-    m = float(nz.min())
-    if m >= MIN_SEPARATION:
+    m = inst.metric.min_nonzero
+    if m is None or m >= MIN_SEPARATION:
         return inst
     s = MIN_SEPARATION / m
-    metric = MetricSpace(inst.metric.points, d * s)
+    metric = MetricSpace(inst.metric.points, inst.metric.dist * s)
     discounts = {j: v * s for j, v in inst.discounts.items()}
     return replace(inst, metric=metric, discounts=discounts, scale=inst.scale * s)
 

@@ -15,6 +15,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,8 +79,14 @@ class RoundState:
     C1: set[str]
     Cstar: set[str]
     trace: list[dict] = field(default_factory=list)  # one record per iteration
+    heads: dict[tuple[str, int], float] = field(default_factory=dict)  # by _level_head
     max_contribution_drift: float = 0.0
     cstar_violations: int = 0
+
+    @cached_property
+    def gain_columns(self) -> list[list[float]]:
+        """``gain`` by client column, as Python floats: the same sums, faster."""
+        return self.gain.T.tolist()
 
     def where(self) -> str:
         """The rounding loop's position: iterations run and the last client acted on."""
@@ -141,36 +148,51 @@ def _check_cstar(state: RoundState) -> None:
 
 
 def _level_head(state: RoundState, key: str) -> float:
-    """w_j * (D_level - tau * r_j)^+: the contribution of a client at its level value."""
-    inst = state.inst
-    cj = inst.cli_pos[key]
-    level_value = state.dm.level_value(state.level[key])
-    return inst.w[cj] * max(level_value - state.dm.tau * inst.r[cj], 0.0)
+    """w_j * (D_level - tau * r_j)^+: the contribution of a client at its
+    level value, computed once per client and level."""
+    at = (key, state.level[key])
+    head = state.heads.get(at)
+    if head is None:
+        inst = state.inst
+        cj = inst.cli_pos[key]
+        level_value = state.dm.level_value(at[1])
+        head = inst.w[cj] * max(level_value - state.dm.tau * inst.r[cj], 0.0)
+        state.heads[at] = head
+    return head
 
 
-def _aux_lp(state: RoundState, rows) -> tuple[LinearProgram, float]:
-    bs = state.bs
-    coeff = np.zeros(bs.n_copies)
+def _aux_content(state: RoundState) -> tuple[np.ndarray, float, tuple]:
+    """The auxiliary LP of the rounding state, as (objective, constant,
+    ball rows): each distinct ball row is its copies as a sorted tuple with
+    its relation, once, where it first comes."""
+    gain, pos = state.gain_columns, state.inst.cli_pos
+    coeff = [0.0] * state.bs.n_copies
     const = 0.0
     for key in sorted(state.C0):
-        cj = state.inst.cli_pos[key]
+        column = gain[pos[key]]
         for c in state.F[key]:
-            coeff[c] += state.gain[c, cj]
+            coeff[c] += column[c]
     for key in sorted(state.C1):
-        cj = state.inst.cli_pos[key]
+        column = gain[pos[key]]
         head = _level_head(state, key)
         const += head
         for c in state.B[key]:
-            coeff[c] += state.gain[c, cj] - head
-    lp = LinearProgram(bs.n_copies, objective=coeff)
-    balls = [(frozenset(state.F[key]), "=") for key in sorted(state.C0)]
-    balls += [(frozenset(state.B[key]), "<=") for key in sorted(state.C1) if state.B[key]]
-    balls += [(frozenset(state.F[key]), "=") for key in sorted(state.Cstar)]
-    for ball, rel in dict.fromkeys(balls):  # each distinct row once, where it first comes
+            coeff[c] += column[c] - head
+    balls = [(tuple(sorted(state.F[key])), "=") for key in sorted(state.C0)]
+    balls += [(tuple(sorted(state.B[key])), "<=") for key in sorted(state.C1) if state.B[key]]
+    balls += [(tuple(sorted(state.F[key])), "=") for key in sorted(state.Cstar)]
+    return np.array(coeff), const, tuple(dict.fromkeys(balls))
+
+
+def _aux_lp(coeff: np.ndarray, balls: tuple, rows) -> LinearProgram:
+    """min ``coeff`` . y over copies y in [0, 1], with each ball row summing
+    to 1 under its relation, then the family ``rows``."""
+    lp = LinearProgram(coeff.size, objective=coeff)
+    for ball, rel in balls:
         lp.add_row(dict.fromkeys(ball, 1.0), rel, 1.0)
     for coeffs, rel, rhs in rows:
         lp.add_row(coeffs, rel, rhs)
-    return lp, const
+    return lp
 
 
 @contextmanager
@@ -188,35 +210,33 @@ def aux_lp_memo():
         _aux_solved.reset(token)
 
 
-def _solve_aux(lp: LinearProgram):
-    """``solve(lp)``, or the stored result of the same LP in an aux_lp_memo scope.
+def _solve_aux(coeff: np.ndarray, balls: tuple, rows, rows_key: str):
+    """``solve(_aux_lp(coeff, balls, rows))``; in an aux_lp_memo scope, the
+    stored result of an equal key, the LP then built only on a miss.
 
-    The key is the exact content ``solve`` reads, floats by their bytes.
+    ``rows_key`` is ``repr(rows)``. The key (copies, ``coeff`` bytes,
+    ``balls``, ``rows_key``) determines the LP ``_aux_lp`` builds, list for
+    list: the copy count fixes the variables and their [0, 1] bounds; the
+    bytes give every cost bit for bit, so -0.0 and 0.0 differ; ``balls`` is
+    every ball row's variables in order, with its relation (coefficients and
+    right-hand sides are all 1.0); and the repr of the family rows spells
+    their variables in order, relations and floats exactly. ``solve`` reads
+    nothing else, so an equal key has the same result.
     """
     solved = _aux_solved.get()
     if solved is None:
-        return solve(lp)
-    key = (
-        lp.n_vars,
-        lp.objective.tobytes(),
-        lp.lo.tobytes(),
-        lp.hi.tobytes(),
-        tuple(lp.row_rel),
-        np.array(lp.row_rhs, float).tobytes(),
-        tuple(lp.entry_row),
-        tuple(lp.entry_var),
-        np.array(lp.entry_coeff, float).tobytes(),
-    )
+        return solve(_aux_lp(coeff, balls, rows))
+    key = (coeff.size, coeff.tobytes(), balls, rows_key)
     res = solved.get(key)
     if res is None:
-        res = solve(lp)
+        res = solve(_aux_lp(coeff, balls, rows))
         res.values.flags.writeable = False
         solved[key] = res
     return res
 
 
 def _contribution(state: RoundState, key: str, y: np.ndarray) -> float:
-    gain = state.gain[:, state.inst.cli_pos[key]]
+    gain = state.gain_columns[state.inst.cli_pos[key]]
     if key in state.C0:
         return float(sum(y[c] * gain[c] for c in state.F[key]))
     ball = float(sum(y[c] for c in state.B[key]))
@@ -282,12 +302,13 @@ def iter_round(
             )
 
     rows = family_rows(inst, bs.orig)
+    rows_key = repr(rows)  # fixed for the call; part of every memo key
     max_level = max((state.level[k] for k in state.level), default=0)
     budget = len(cols) * (max_level + 3) + len(cols) + 4
     y = np.zeros(bs.n_copies)
     for _ in range(budget):
-        lp, const = _aux_lp(state, rows)
-        res = _solve_aux(lp)
+        coeff, const, balls = _aux_content(state)
+        res = _solve_aux(coeff, balls, rows, rows_key)
         y = res.values
         aux = res.objective_value + const
         last = state.trace[-1]["objective"] if state.trace else None

@@ -157,8 +157,16 @@ def solve_stochastic_center(
     and its E[max], to certify against (alpha + beta) * T_star, is exact.
     Each step calls ``solve`` with ``tau`` (None: the family's default) and
     ``knap_options``; a knapsack base starts from SWEEP_KNAPSACK_OPTIONS.
-    The steps share one ``aux_lp_memo``, so the sweep solves each distinct
-    auxiliary LP once.
+
+    A step redoes only the work that reads T. Its instance is
+    ``Instance.with_discounts`` of one weighted base, so every step shares
+    the metric's cached verdict, the discount-free data (``dist_fc``,
+    ``dist_cc``, ``w``, the position maps) and the natural-LP rows of
+    ``fractional.plain_rows``; the steps run in one ``aux_lp_memo``, keyed
+    on the rounding state before any LP is built, so the sweep solves each
+    distinct auxiliary LP once. Each step recomputes the contributions, the
+    natural LP's objective, the split, the offset and the rounding; its
+    report is byte-identical to a solve of a fresh instance.
     """
     check_arg(epsilon, "epsilon", lambda e: 0.0 < e < 1.0, "lie in (0, 1)")
     base = normalize(stoch.base)
@@ -193,10 +201,11 @@ def solve_stochastic_center(
     flagged = False
     with aux_lp_memo():
         for T in ts:
-            inst_t = replace(weighted, discounts={j: T for j in base.clients})
+            inst_t = weighted.with_discounts({j: T for j in base.clients})
             rep = solve(inst_t, tau, **opts)
             solution, alpha, beta = rep.solution, rep.alpha, rep.beta
-            cost = discounted_cost(inst_t, solution, alpha if T > 0 else 1.0)
+            # rep.objective is discounted_cost(inst_t, solution, alpha) already
+            cost = rep.objective if T > 0 else discounted_cost(inst_t, solution, 1.0)
             passed = cost <= beta * T + 1e-9
             sweep.append(SweepStep(T=T, solution=solution, cost=cost, passed=passed))
             if passed:

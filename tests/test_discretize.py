@@ -46,7 +46,6 @@ class TestRoundUp:
         dm = DiscretizedMetric(1.91, 0.37)
         cs = np.array([0.0, 1.0, 1.5, 2.0, 7.3, 40.0])
         scalar = [dm.level_value(dm.level_of(float(c))) for c in cs]
-        assert np.allclose(dm.round_up_array(cs), scalar)
         assert list(dm.levels_array(cs)) == [dm.level_of(float(c)) for c in cs]
         values = dm.level_values(dm.levels_array(cs))
         assert np.allclose(values, scalar)
@@ -105,8 +104,32 @@ class TestChooseOffset:
             tau = float(rng.uniform(1.3, 2.6))
             _, obj = choose_offset(c, r, mass, tau)
             dm = DiscretizedMetric(tau, 0.0)
-            at_zero = float(np.sum(mass * np.maximum(dm.round_up_array(c) - tau * r, 0.0)))
+            chat = dm.level_values(dm.levels_array(c))
+            at_zero = float(np.sum(mass * np.maximum(chat - tau * r, 0.0)))
             assert obj <= at_zero + 1e-12
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=40),
+        tau=st.sampled_from([1.592, 1.91, 2.36, 3.0]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_is_the_first_least_breakpoint_bit_for_bit(self, seed, n, tau):
+        # the search scores every breakpoint in one array; a loop of
+        # level_values(levels_array(c)) per breakpoint must agree to the bit
+        c, r, mass = random_support(np.random.default_rng(seed), n)
+        c[: n // 3] = np.floor(c[: n // 3])  # integer distances: some hit a level exactly
+        logs = np.log(c[c > 0]) / math.log(tau)
+        fracs = logs - np.floor(logs)
+        best_b, best_obj = 0.0, math.inf
+        for b in np.unique(np.concatenate([[0.0], np.where(fracs > 1 - 1e-12, 0.0, fracs)])):
+            dm = DiscretizedMetric(tau, float(b))
+            chat = dm.level_values(dm.levels_array(c))
+            obj = float(np.sum(mass * np.maximum(chat - tau * r, 0.0)))
+            if obj < best_obj - 1e-15:
+                best_b, best_obj = float(b), obj
+        b, obj = choose_offset(c, r, mass, tau)
+        assert (b.hex(), obj.hex()) == (best_b.hex(), best_obj.hex())
 
     def test_bound_against_original_objective(self):
         rng = np.random.default_rng(4)

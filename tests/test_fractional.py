@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -47,6 +48,23 @@ class TestBuildNaturalLP:
         nat = build_natural_lp(inst)
         # rows: 2 assignment + 2 part rows + 6 coupling; no per-element rows
         assert nat.lp.n_rows == 2 + 2 + 6
+
+    def test_plain_rows_are_shared_and_read_only(self):
+        inst = I.generate(4, 5, kind="partition", seed=2)
+        near = build_natural_lp(inst.with_discounts({j: 0.0 for j in inst.clients}))
+        far = build_natural_lp(inst.with_discounts({j: 2.0 for j in inst.clients}))
+        assert near.lp.entry_var is far.lp.entry_var and near.x_index is far.x_index
+        assert not np.array_equal(near.lp.objective, far.lp.objective)
+        # a plain replace has its own rows, built alike
+        own = build_natural_lp(dataclasses.replace(inst, discounts={j: 2.0 for j in inst.clients}))
+        assert own.lp.entry_var is not far.lp.entry_var
+        for name in ("objective", "lo", "hi"):
+            assert getattr(own.lp, name).tobytes() == getattr(far.lp, name).tobytes()
+        for name in ("row_rel", "row_rhs", "entry_row", "entry_var", "entry_coeff"):
+            assert list(getattr(own.lp, name)) == list(getattr(far.lp, name))
+        with pytest.raises(TypeError):
+            far.lp.add_row({0: 1.0}, "<=", 1.0)
+        assert far.lp.n_rows == near.lp.n_rows == own.lp.n_rows
 
     def test_uniform_matroid_rows_over_copies(self):
         # one row per duplicated facility, then the rank row over every copy

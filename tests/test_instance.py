@@ -1,10 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import discmed
 from discmed import instance as I
-from discmed.stochastic import generate_stochastic, validate_stochastic
+from discmed.stochastic import (
+    StochasticInstance,
+    StochasticPoint,
+    generate_stochastic,
+    solve_stochastic_center,
+    validate_stochastic,
+)
 
 from .helpers import recompute_discounted_cost
 
@@ -55,7 +63,8 @@ class TestValidate:
         if slab_rows is not None:
             monkeypatch.setattr(I, "TRIANGLE_SLAB", slab_rows * n * n)
         rng = np.random.default_rng(n + (slab_rows or 0))
-        d = I.MetricSpace.from_coords({f"p{k}": tuple(rng.uniform(1, 9, 2)) for k in range(n)}).dist
+        coords = {f"p{k}": tuple(rng.uniform(1, 9, 2)) for k in range(n)}
+        d = I.MetricSpace.from_coords(coords).dist.copy()  # a metric's own matrix is read-only
         for _ in range(3):  # plant stretched edges, keeping the matrix symmetric
             a, b = rng.choice(n, size=2, replace=False)
             d[a, b] = d[b, a] = 3.0 * d[a, b]
@@ -251,3 +260,48 @@ class TestJsonRoundTrip:
         }
         inst = I.from_json(blob)
         assert inst.metric.d("f0", "c0") == pytest.approx(5.0)
+
+
+class TestCachedMetricVerdict:
+    def test_dist_is_a_read_only_copy(self):
+        given_dist = np.array([[0.0, 2.0], [2.0, 0.0]])
+        m = I.MetricSpace(("a", "b"), given_dist)
+        with pytest.raises(ValueError, match="read-only"):
+            m.dist[0, 1] = 5.0
+        given_dist[0, 1] = given_dist[1, 0] = 0.5  # the caller's array stays theirs
+        assert m.dist[0, 1] == 2.0 and m.violations() == []
+
+    def test_an_invalid_metric_is_refused_by_every_entry(self):
+        # one metric object, so the second and third refusals come from its cached verdict
+        m = I.MetricSpace(("f00", "c00", "c01"), np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0.0]]))
+        inst = I.Instance(
+            ("f00",), ("c00", "c01"), m, {"c00": 0.0, "c01": 0.0}, {"c00": 1.0, "c01": 1.0},
+            I.Cardinality(1),
+        )
+        stoch = StochasticInstance(inst, (StochasticPoint("v0", {"c00": 0.5}),))
+        for refuse in (I.checked, discmed.solve, lambda _: solve_stochastic_center(stoch, None, 0.2)):
+            with pytest.raises(I.InstanceError, match=r"triangle violation \(f00,c00,c01\)"):
+                refuse(inst)
+
+    @pytest.mark.parametrize(
+        "value, message", [(-1.0, "negative discount"), (math.nan, "non-finite discount nan"),
+                           (math.inf, "non-finite discount inf")],
+    )
+    def test_with_discounts_still_checks_the_discounts(self, value, message):
+        inst = I.generate(3, 4, seed=1)
+        bad = inst.with_discounts({**inst.discounts, "c01": value})
+        assert I.validate(inst) == []
+        with pytest.raises(I.InstanceError, match=f"{message} for client c01"):
+            I.checked(bad)
+        with pytest.raises(I.InstanceError, match=f"{message} for client c01"):
+            discmed.solve(bad)
+
+    def test_with_discounts_shares_only_what_reads_no_discount(self):
+        inst = I.generate(3, 4, seed=1)
+        child = inst.with_discounts({j: 1.0 for j in inst.clients})
+        for name in I.DISCOUNT_FREE:
+            assert getattr(child, name) is getattr(inst, name), name
+        assert not np.array_equal(child.r, inst.r)
+        assert not np.array_equal(child.contrib, inst.contrib)
+        assert child.discounts == {j: 1.0 for j in inst.clients}
+        assert inst.discounts != child.discounts  # the parent keeps its own

@@ -658,6 +658,15 @@ class TestSolveKnapMedDis:
         rep = solve_knapmeddis(inst, tau=1.9, rho=0.5, epsilon=0.5)
         assert rep.objective == 0.0
 
+    def test_lp_optimum_is_never_negative(self):
+        # the winning task's LP vertex costs -3.83e-16 in floating point,
+        # though every cost and bound of the LP is >= 0
+        inst = generate(2, 2, kind="knapsack", discount_scale=0.4, seed=1430918282)
+        rep = solve_knapmeddis(inst, tau=1.9, rho=0.5, delta=2 / 3, epsilon=0.25)
+        values = [rep.lp_optimum] + [c["lpObjective"] for c in rep.extras["candidates"]]
+        assert rep.lp_optimum == 0.0
+        assert all(math.copysign(1.0, v) == 1.0 for v in values)  # -0.0 neither
+
     def test_every_candidate_certificate_holds_and_is_pinned(self, monkeypatch):
         # the report keeps only the winner's certificates; record every
         # candidate's, losers included, through the task solver

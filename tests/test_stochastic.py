@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -6,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import discmed
 from discmed import fractional, iterround, stochastic
@@ -360,21 +363,33 @@ class TestSweepSharesAuxLPs:
         assert len(shared) == len(set(map(dense_key, shared))) == len(distinct) < len(every)
         assert set(map(dense_key, shared)) == distinct
 
-    def test_a_repeat_reuses_a_read_only_result(self):
-        def lp(objective):
-            lp = LinearProgram(2, objective=objective)
-            lp.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
-            return lp
+    def test_a_repeat_reuses_a_read_only_result(self, monkeypatch):
+        built = []
+        build = iterround._aux_lp
+        monkeypatch.setattr(iterround, "_aux_lp", lambda *args: built.append(args) or build(*args))
+        balls = (((0, 1), "<="),)  # the one row y0 + y1 <= 1
 
-        fresh = iterround._solve_aux(lp([0.0, -1.0]))
+        def solved(objective):
+            return iterround._solve_aux(np.array(objective), balls, [], repr([]))
+
+        fresh = solved([0.0, -1.0])
         fresh.values[0] = 0.5  # outside a memo the values are the caller's
         with iterround.aux_lp_memo():
-            first = iterround._solve_aux(lp([0.0, -1.0]))
-            again = iterround._solve_aux(lp([0.0, -1.0]))
-            signed = iterround._solve_aux(lp([-0.0, -1.0]))  # another key: floats by bytes
+            first = solved([0.0, -1.0])
+            again = solved([0.0, -1.0])
+            signed = solved([-0.0, -1.0])  # another key: floats by bytes
         assert again is first and signed is not first
+        assert len(built) == 3  # a hit builds no LP
         with pytest.raises(ValueError, match="read-only"):
             again.values[0] = 1.0
+
+    def test_the_family_rows_are_part_of_the_key(self):
+        objective = np.array([-1.0, -2.0])
+        with iterround.aux_lp_memo():
+            for cap, opened in ((1.0, [0.0, 1.0]), (2.0, [1.0, 1.0])):
+                rows = [({0: 1.0, 1: 1.0}, "<=", cap)]
+                res = iterround._solve_aux(objective, (), rows, repr(rows))
+                assert res.values.tolist() == opened
 
     def test_a_failed_sweep_leaves_no_memo(self, monkeypatch):
         real_solve, steps = stochastic.solve, []
@@ -397,6 +412,52 @@ class TestSweepSharesAuxLPs:
         with iterround.aux_lp_memo():
             _, shared = aux_lps_solved(monkeypatch, lambda: solve_kmeddis(inst))
         assert len(shared) < len(alone)  # so the count above would show a leaked memo
+
+
+# (kind, facilities, points) of small sweep bases; a knapsack step enumerates
+# tasks, so a knapsack base keeps 2 facilities and 2 points
+SWEEP_BASES = hst.tuples(
+    hst.sampled_from(["cardinality", "uniform", "partition", "knapsack"]),
+    hst.integers(min_value=2, max_value=4),
+    hst.integers(min_value=2, max_value=5),
+).map(lambda b: (b[0], 2, 2) if b[0] == "knapsack" else b)
+
+
+class TestSweepSharesTFreeWork:
+    # a step instance shares the metric verdict, the discount-free caches and
+    # the natural-LP rows with the others, and its rounding the memo; a fresh
+    # instance of plain dataclasses.replace, solved outside any memo, has none
+    @given(
+        base=SWEEP_BASES,
+        seed=hst.integers(min_value=0, max_value=2**16),
+        epsilon=hst.sampled_from([0.2, 0.5]),
+    )
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    def test_each_step_matches_a_fresh_solve(self, base, seed, epsilon):
+        kind, n_fac, n_pts = base
+        real_solve, steps = stochastic.solve, []
+
+        def solve_step(inst, tau=None, **opts):
+            rep = real_solve(inst, tau, **opts)
+            steps.append((inst, tau, opts, rep))
+            return rep
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stochastic, "solve", solve_step)
+            st = generate_stochastic(n_fac, n_pts, kind=kind, seed=seed)
+            _, report = solve_stochastic_center(st, None, epsilon)
+        assert len(steps) == len(report.sweep)
+        for inst, tau, opts, rep in steps:
+            fresh = dataclasses.replace(
+                inst,
+                metric=I.MetricSpace(inst.metric.points, inst.metric.dist),
+                discounts=dict(inst.discounts),
+                client_weights=dict(inst.client_weights),
+            )
+            again = real_solve(fresh, tau, **opts)
+            assert json.dumps(again.to_json(), sort_keys=True) == json.dumps(
+                rep.to_json(), sort_keys=True
+            )
 
 
 class TestBernoulliMaxLemma:
